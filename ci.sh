@@ -8,10 +8,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 
-# Smoke the perf harnesses: the substrate microbenchmarks (fast + reference
-# simulator engines) and the engine-comparison target (minimum 5 reps; also
-# checks BENCH_sim.json generation end to end, and --check fails the gate
-# if the turbo engine's median total regresses below the fast engine's).
+# Smoke the perf harnesses: the substrate microbenchmarks (turbo with DTS
+# off/on + reference simulator engine) and the engine-comparison target
+# (minimum 5 reps; also checks BENCH_sim.json generation end to end, and
+# --check fails the gate if turbo's median total is under 3x faster than
+# the reference engine's, with DTS off or on).
 cargo bench -p bench --bench experiments -- substrate_simulator
 cargo run --release -p bench --bin simperf -- --check 1
 

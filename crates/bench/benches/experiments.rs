@@ -216,21 +216,21 @@ fn main() {
     });
 
     // Microbenchmarks of the substrates themselves. The default engine
-    // (turbo), the mid-tier fast path, and the retained reference on the
-    // same workload — the gaps between them are each tier's win.
+    // (turbo) with DTS off and on, and the retained reference on the same
+    // workload — the gap between them is turbo's win.
     h.bench("substrate_simulator_throughput", || {
         let w = workload("sha", Input::Large);
         let c = build(&w, &BuildConfig::baseline()).unwrap();
         black_box(simulate(&c, &w).unwrap().counts.dyn_insts);
     });
-    h.bench("substrate_simulator_fast", || {
+    h.bench("substrate_simulator_dts", || {
         let w = workload("sha", Input::Large);
         let c = build(&w, &BuildConfig::baseline()).unwrap();
         let r = simulate_with(
             &c,
             &w,
             &SimConfig {
-                engine: Engine::Fast,
+                dts: true,
                 ..Default::default()
             },
         )

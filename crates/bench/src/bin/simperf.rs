@@ -1,18 +1,18 @@
 //! Simulator/harness wall-clock performance target.
 //!
-//! Measures (a) the three simulation engines — retained reference, the
-//! predecoded fast path, and the block-fused turbo engine — against each
-//! other on sim-dominated MiBench workloads (build once, interleave timed
-//! repetitions, report median + min per engine), (b) batch-mode predecode
-//! amortization on a fig16-style multi-input sweep (one predecoded image,
-//! N input sets vs N independent runs), and (c) the fig08-style matrix
-//! harness under 1 worker vs the pool default. Writes the numbers to
-//! `BENCH_sim.json` and prints a summary.
+//! Measures (a) the turbo engine against the retained reference engine on
+//! sim-dominated MiBench workloads, with DTS off and on (build once,
+//! interleave timed repetitions, report median + min per leg), (b)
+//! batch-mode predecode amortization on a fig16-style multi-input sweep
+//! (one predecoded image, N input sets vs N independent runs), and (c) the
+//! fig08-style matrix harness under 1 worker vs the pool default. Writes
+//! the numbers to `BENCH_sim.json` and prints a summary.
 //!
 //! Usage: `simperf [-j N] [--check] [reps]`. At least 5 repetitions are
 //! always run so the medians are meaningful; the positional argument can
-//! only raise the count. `--check` exits nonzero if the turbo engine's
-//! median total is slower than the fast engine's — CI uses this to catch
+//! only raise the count. `--check` exits nonzero if turbo's median total is
+//! less than [`SPEEDUP_FLOOR`] times faster than the reference engine's,
+//! on either the plain or the DTS leg — CI uses this to catch
 //! dispatch-path regressions.
 
 use bench::{clear_cache, pool, run_matrix};
@@ -25,12 +25,17 @@ use std::time::Instant;
 /// Sim-dominated targets: long dynamic instruction counts, cheap builds.
 const TARGETS: &[&str] = &["sha", "crc32", "dijkstra", "qsort", "susan-edges"];
 
-/// Engine matrix, slowest tier first (printed column order).
-const ENGINES: [(&str, Engine); 3] = [
-    ("reference", Engine::Reference),
-    ("fast", Engine::Fast),
-    ("turbo", Engine::Turbo),
+/// Timed legs, printed in this order: (name, engine, DTS).
+const LEGS: [(&str, Engine, bool); 4] = [
+    ("reference", Engine::Reference, false),
+    ("turbo", Engine::Turbo, false),
+    ("reference_dts", Engine::Reference, true),
+    ("turbo_dts", Engine::Turbo, true),
 ];
+
+/// `--check` floor on the total reference-over-turbo time ratio, applied
+/// to the plain and the DTS leg alike.
+const SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Input sets in the batch-amortization sweep.
 const BATCH_INPUTS: u64 = 8;
@@ -57,10 +62,10 @@ fn median(xs: &mut [f64]) -> f64 {
 struct Row {
     name: String,
     dyn_insts: u64,
-    /// Per-engine median seconds, `ENGINES` order.
-    med: [f64; 3],
-    /// Per-engine minimum seconds, `ENGINES` order.
-    min: [f64; 3],
+    /// Per-leg median seconds, `LEGS` order.
+    med: [f64; 4],
+    /// Per-leg minimum seconds, `LEGS` order.
+    min: [f64; 4],
 }
 
 fn main() {
@@ -88,44 +93,45 @@ fn main() {
     let jobs = pool::jobs_for(&args);
     bench::header(
         "simperf",
-        "reference vs fast vs turbo engine / pool wall-clock",
+        "reference vs turbo engine (DTS off/on) / pool wall-clock",
     );
 
-    let cfg_of = |e: Engine| SimConfig {
-        engine: e,
+    let cfg_of = |engine: Engine, dts: bool| SimConfig {
+        engine,
+        dts,
         ..SimConfig::default()
     };
     let mut rows = Vec::new();
     println!(
-        "{:<16} {:>12} {:>10} {:>10} {:>10} {:>7} {:>7} {:>7}",
-        "workload", "dyn_insts", "ref_ms", "fast_ms", "turbo_ms", "fast×", "turbo×", "t/f"
+        "{:<16} {:>12} {:>10} {:>10} {:>7} {:>10} {:>10} {:>7}",
+        "workload", "dyn_insts", "ref_ms", "turbo_ms", "turbo×", "ref_dts", "turbo_dts", "dts×"
     );
     for name in TARGETS {
         let w = workload(name, Input::Large);
         let c = build(&w, &BuildConfig::baseline()).expect("build");
         // Untimed warm-up run; also the dyn_insts source.
-        let dyn_insts = simulate_with(&c, &w, &cfg_of(Engine::Turbo))
+        let dyn_insts = simulate_with(&c, &w, &cfg_of(Engine::Turbo, false))
             .expect("sim")
             .counts
             .dyn_insts;
-        // Interleave engines within each round so clock and thermal drift
-        // hit all three equally.
-        let mut secs: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::new());
+        // Interleave legs within each round so clock and thermal drift hit
+        // all of them equally.
+        let mut secs: [Vec<f64>; 4] = std::array::from_fn(|_| Vec::new());
         for _ in 0..reps {
-            for (ei, (_, engine)) in ENGINES.iter().enumerate() {
-                secs[ei].push(once(&c, &w, &cfg_of(*engine)));
+            for (li, &(_, engine, dts)) in LEGS.iter().enumerate() {
+                secs[li].push(once(&c, &w, &cfg_of(engine, dts)));
             }
         }
-        let med = [0, 1, 2].map(|ei| median(&mut secs[ei]));
-        let min = [0, 1, 2].map(|ei| secs[ei][0]); // sorted by median()
+        let med = [0, 1, 2, 3].map(|li| median(&mut secs[li]));
+        let min = [0, 1, 2, 3].map(|li| secs[li][0]); // sorted by median()
         println!(
-            "{name:<16} {dyn_insts:>12} {:>10.2} {:>10.2} {:>10.2} {:>6.2}x {:>6.2}x {:>6.2}x",
+            "{name:<16} {dyn_insts:>12} {:>10.2} {:>10.2} {:>6.2}x {:>10.2} {:>10.2} {:>6.2}x",
             med[0] * 1e3,
             med[1] * 1e3,
-            med[2] * 1e3,
             med[0] / med[1],
-            med[0] / med[2],
-            med[1] / med[2]
+            med[2] * 1e3,
+            med[3] * 1e3,
+            med[2] / med[3]
         );
         rows.push(Row {
             name: name.to_string(),
@@ -134,17 +140,19 @@ fn main() {
             min,
         });
     }
-    let tot = [0, 1, 2].map(|ei| rows.iter().map(|r| r.med[ei]).sum::<f64>());
+    let tot = [0, 1, 2, 3].map(|li| rows.iter().map(|r| r.med[li]).sum::<f64>());
+    let speedup = tot[0] / tot[1];
+    let dts_speedup = tot[2] / tot[3];
     println!(
-        "{:<16} {:>12} {:>10.2} {:>10.2} {:>10.2} {:>6.2}x {:>6.2}x {:>6.2}x",
+        "{:<16} {:>12} {:>10.2} {:>10.2} {:>6.2}x {:>10.2} {:>10.2} {:>6.2}x",
         "TOTAL",
         "",
         tot[0] * 1e3,
         tot[1] * 1e3,
+        speedup,
         tot[2] * 1e3,
-        tot[0] / tot[1],
-        tot[0] / tot[2],
-        tot[1] / tot[2]
+        tot[3] * 1e3,
+        dts_speedup
     );
 
     // Batch amortization: a fig16-style sweep — one build profiled on image
@@ -218,30 +226,27 @@ fn main() {
     let mut json = String::from("{\n  \"engines\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"dyn_insts\": {}, \
-             \"reference_median_s\": {:.6}, \"reference_min_s\": {:.6}, \
-             \"fast_median_s\": {:.6}, \"fast_min_s\": {:.6}, \
-             \"turbo_median_s\": {:.6}, \"turbo_min_s\": {:.6}, \
-             \"fast_speedup\": {:.3}, \"turbo_speedup\": {:.3}, \
-             \"turbo_over_fast\": {:.3}}}{}\n",
-            r.name,
-            r.dyn_insts,
-            r.med[0],
-            r.min[0],
-            r.med[1],
-            r.min[1],
-            r.med[2],
-            r.min[2],
+            "    {{\"workload\": \"{}\", \"dyn_insts\": {}, ",
+            r.name, r.dyn_insts
+        ));
+        for (li, (leg, _, _)) in LEGS.iter().enumerate() {
+            json.push_str(&format!(
+                "\"{leg}_median_s\": {:.6}, \"{leg}_min_s\": {:.6}, ",
+                r.med[li], r.min[li]
+            ));
+        }
+        json.push_str(&format!(
+            "\"turbo_speedup\": {:.3}, \"dts_speedup\": {:.3}}}{}\n",
             r.med[0] / r.med[1],
-            r.med[0] / r.med[2],
-            r.med[1] / r.med[2],
+            r.med[2] / r.med[3],
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"total_reference_s\": {:.6},\n  \"total_fast_s\": {:.6},\n  \
-         \"total_turbo_s\": {:.6},\n  \"total_fast_speedup\": {:.3},\n  \
-         \"total_speedup\": {:.3},\n  \"total_turbo_over_fast\": {:.3},\n  \
+        "  ],\n  \"total_reference_s\": {:.6},\n  \"total_turbo_s\": {:.6},\n  \
+         \"total_speedup\": {speedup:.3},\n  \"total_reference_dts_s\": {:.6},\n  \
+         \"total_turbo_dts_s\": {:.6},\n  \"total_dts_speedup\": {dts_speedup:.3},\n  \
+         \"speedup_floor\": {SPEEDUP_FLOOR:.1},\n  \
          \"batch\": {{\"inputs\": {BATCH_INPUTS}, \"sequential_s\": {seq_med:.6}, \
          \"batch_s\": {batch_med:.6}, \"amortization\": {:.3}}},\n  \
          \"harness\": {{\"jobs_requested\": {jobs}, \"workers_effective\": {workers}, \
@@ -250,19 +255,25 @@ fn main() {
         tot[0],
         tot[1],
         tot[2],
-        tot[0] / tot[1],
-        tot[0] / tot[2],
-        tot[1] / tot[2],
+        tot[3],
         seq_med / batch_med
     ));
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("wrote BENCH_sim.json");
 
-    if check && tot[2] > tot[1] {
-        eprintln!(
-            "simperf --check: turbo total ({:.3}s) slower than fast total ({:.3}s)",
-            tot[2], tot[1]
-        );
-        std::process::exit(1);
+    if check {
+        let mut failed = false;
+        for (leg, x) in [("plain", speedup), ("DTS", dts_speedup)] {
+            if x < SPEEDUP_FLOOR {
+                eprintln!(
+                    "simperf --check: {leg} turbo speedup over reference {x:.2}x \
+                     is below the {SPEEDUP_FLOOR:.1}x floor"
+                );
+                failed = true;
+            }
+        }
+        if failed {
+            std::process::exit(1);
+        }
     }
 }

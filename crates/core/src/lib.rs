@@ -494,9 +494,10 @@ pub fn simulate_with(
 
 /// Simulates `compiled` once per entry of `input_sets` (each a list of
 /// `(global name, bytes)` pairs), sharing one predecoded turbo image across
-/// all runs via [`sim::run_batch`] — the fig15/fig16 input sweeps use this
-/// to amortize decode across a whole sweep. Results are bit-identical to
-/// N separate [`simulate_with`] calls.
+/// all runs via [`sim::run_batch`], DTS runs included — the fig15/fig16
+/// input sweeps use this to amortize decode across a whole sweep. With
+/// `Engine::Reference` the runs are independent. Results are bit-identical
+/// to N separate [`simulate_with`] calls.
 pub fn simulate_batch(
     compiled: &Compiled,
     config: &SimConfig,

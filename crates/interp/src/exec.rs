@@ -221,7 +221,7 @@ impl<'m> Interpreter<'m> {
         let ret = if self.reference {
             self.call(fid, args)?
         } else {
-            self.run_fast(fid, args)?
+            self.run_predecoded(fid, args)?
         };
         Ok(RunResult {
             ret,
@@ -230,7 +230,7 @@ impl<'m> Interpreter<'m> {
         })
     }
 
-    fn run_fast(&mut self, fid: FuncId, args: &[u64]) -> Result<Option<u64>, ExecError> {
+    fn run_predecoded(&mut self, fid: FuncId, args: &[u64]) -> Result<Option<u64>, ExecError> {
         if self.fast.is_none() {
             self.fast = Some(FastModule::build(self.module, &self.layout));
         }

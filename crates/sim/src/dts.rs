@@ -13,6 +13,7 @@
 //! much shorter carry chains than 32-bit ones, which is exactly why
 //! DTS+BITSPEC composes (Figure 17).
 
+use crate::energy::{EnergyBreakdown, EnergyModel};
 use isa::MInst;
 use std::sync::OnceLock;
 
@@ -88,9 +89,9 @@ impl DtsModel {
 
     /// Predecodes a program image into (per-instruction class index,
     /// per-class energy scale). Instructions sharing a path-utilization
-    /// value share a class, so the simulator's fast path can accumulate
-    /// per-class activity with one table lookup per step instead of
-    /// re-classifying the instruction.
+    /// value share a class, numbered in order of first appearance, so the
+    /// turbo engine can accumulate per-class activity by table lookup
+    /// instead of re-classifying instructions.
     pub fn precompute(&self, insts: &[MInst]) -> (Vec<u8>, Vec<f64>) {
         let mut permilles: Vec<u16> = Vec::new();
         let mut classes = Vec::with_capacity(insts.len());
@@ -111,6 +112,68 @@ impl DtsModel {
             .map(|&pm| self.scale_table[pm as usize])
             .collect();
         (classes, scales)
+    }
+}
+
+/// Integer activity of one DTS class over a run: enough to rebuild the
+/// class's core energy (ALU + register file + misspeculation detectors)
+/// and its scaled pipeline energy once, at end of run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ClassAcc {
+    pub(crate) cyc: u64,
+    pub(crate) rf_read_units: u64,
+    pub(crate) rf_write_units: u64,
+    pub(crate) alu_word_ops: u64,
+    pub(crate) extend_ops: u64,
+    pub(crate) alu_slice_ops: u64,
+    pub(crate) spec_monitored_ops: u64,
+    pub(crate) speccheck_ops: u64,
+    pub(crate) mul_ops: u64,
+    pub(crate) umull_ops: u64,
+    pub(crate) div_ops: u64,
+}
+
+impl ClassAcc {
+    /// Core energy of this class — the same per-event costs the reference
+    /// engine charges inline (and [`EnergyModel::fold`] charges in total).
+    fn core_energy(&self, em: &EnergyModel) -> f64 {
+        self.rf_read_units as f64 * em.rf_slice_read
+            + self.rf_write_units as f64 * em.rf_slice_write
+            + (self.alu_word_ops - self.extend_ops) as f64 * 4.0 * em.alu_slice
+            + self.extend_ops as f64 * 2.0 * em.alu_slice
+            + self.alu_slice_ops as f64 * em.alu_slice
+            + (self.spec_monitored_ops - self.speccheck_ops) as f64 * em.misspec_detect
+            + self.mul_ops as f64 * em.mul
+            + self.umull_ops as f64 * 0.5 * em.mul
+            + self.div_ops as f64 * em.div
+    }
+}
+
+/// Applies per-class clock/voltage scaling to `energy`, a breakdown folded
+/// from the run's whole activity. Pipeline energy is rebuilt per class
+/// (with the RazorII recovery overhead), and the reclaimed core energy is
+/// deducted from ALU and register file in proportion to their totals — the
+/// same aggregate discount the reference engine applies instruction by
+/// instruction. Classes are folded in `accs` order, so equal integer
+/// accumulators give bitwise-equal energy.
+pub(crate) fn scale_by_class(
+    energy: &mut EnergyBreakdown,
+    accs: &[ClassAcc],
+    scales: &[f64],
+    em: &EnergyModel,
+) {
+    let mut pipe = 0.0;
+    let mut discount = 0.0;
+    for (acc, &scale) in accs.iter().zip(scales) {
+        pipe += acc.cyc as f64 * em.pipeline_cycle * (1.0 + RAZOR_CYCLE_OVERHEAD) * scale;
+        discount += acc.core_energy(em) * (1.0 - scale);
+    }
+    energy.pipeline = pipe;
+    let total = energy.alu + energy.regfile;
+    if total > 0.0 && discount > 0.0 {
+        let alu_share = energy.alu / total;
+        energy.alu -= discount * alu_share;
+        energy.regfile -= discount * (1.0 - alu_share);
     }
 }
 

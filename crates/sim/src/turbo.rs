@@ -2,9 +2,10 @@
 //! basic-block fusion and batched multi-input runs.
 //!
 //! [`Simulator::run`] lands here by default ([`crate::machine::Engine::Turbo`]).
-//! Versus the fast engine (`fast.rs`), which still runs one `match` over
-//! `MInst` per dynamic instruction, turbo decodes each *static* instruction
-//! exactly once ([`TurboImage::build`]) into:
+//! Versus the reference engine (`machine.rs`), which runs one `match` over
+//! `MInst` per dynamic instruction and accumulates f64 energy per step,
+//! turbo decodes each *static* instruction exactly once
+//! ([`TurboImage::build`]) into:
 //!
 //! * a **handler function pointer** plus a packed 8-byte operand record
 //!   ([`TOp`]) — GRBA-emulator-style LUT dispatch, one indirect call per
@@ -28,27 +29,34 @@
 //! **Misspeculation redirects** (`pc ← pc + Δ`) can land mid-block, in
 //! skeleton code that is not a block leader. The engine then flushes the
 //! static counters for the executed block prefix and falls back to
-//! per-instruction execution ([`Simulator::run_fallback`], an exact replica
-//! of the fast loop) until control reaches a block leader again. The same
-//! fallback covers `Ret` to a non-leader and fuel-tight block entries, so
-//! fuel exhaustion surfaces after exactly the same instruction as in the
-//! fast/reference engines.
+//! per-instruction execution ([`Simulator::run_fallback`], the same
+//! handlers and [`SActs`] one instruction at a time) until control reaches
+//! a block leader again. The same fallback covers `Ret` to a non-leader
+//! and fuel-tight block entries, so fuel exhaustion surfaces after exactly
+//! the same instruction as in the reference engine.
+//!
+//! **DTS mode** charges every cycle and core-activity unit to the DTS class
+//! of the instruction that incurs it. The class depends only on the
+//! instruction, so the static part comes from [`SActs`] × block executions
+//! at end of run; the dynamic part is charged at the few sites that add
+//! it (block-entry interlock and fetch, real-fetch events, misspeculation
+//! redirects, the fallback), or is counted per event kind in the hot path
+//! and assigned to its one class at end of run (D-cache stalls, taken
+//! `Bc`, value-dependent register writes). Non-DTS runs pay one
+//! predictable branch at those sites.
 //!
 //! **Batch mode** ([`crate::run_batch`]) predecodes the program image once
 //! and reuses it across N inputs — the fig15/fig16 input sweeps and the
 //! empirical gate's training simulations amortize decode entirely.
 //!
 //! `outputs`, `cycles`, `counts` and `activity` are bit-identical to the
-//! reference engine; energy is folded from the same integer activity as the
-//! fast engine ([`crate::energy::EnergyModel::fold`]) and therefore
-//! bitwise-identical to fast (and within float-summation tolerance of
-//! reference). `tests/equivalence.rs` enforces the full 3-way matrix.
-//!
-//! DTS mode needs per-instruction activity snapshots, which block-level
-//! batching cannot provide; `SimConfig { dts: true, .. }` delegates to the
-//! fast engine (see `machine.rs::run`).
+//! reference engine; energy is folded once from integer activity
+//! ([`crate::energy::EnergyModel::fold`], then
+//! [`crate::dts::scale_by_class`] under DTS) and agrees with the reference
+//! within float-summation tolerance. `tests/equivalence.rs` enforces both.
 
 use crate::cache::Hierarchy;
+use crate::dts::{scale_by_class, ClassAcc, DtsModel};
 use crate::energy::Activity;
 use crate::machine::{alu_exec, eval_cond, flags_sub8, Counts, SimError, SimResult, Simulator};
 use backend::Program;
@@ -182,7 +190,7 @@ fn salu_code(op: SAluOp) -> usize {
 }
 
 /// Static (execution-count-deterministic) activity of one instruction:
-/// everything the fast engine would add to `Activity`/`Counts`
+/// everything the reference engine adds to `Activity`/`Counts`
 /// unconditionally when the instruction runs. Summed per block at
 /// predecode time; applied `block_exec_count` times at end of run.
 /// Conditional events (speculative-op destination writes, `MovCc` writes,
@@ -190,6 +198,11 @@ fn salu_code(op: SAluOp) -> usize {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SActs {
     cyc: u32,
+    /// Load-use interlock stall from the previous instruction of the same
+    /// block (0 or 1). Kept apart from `cyc` because an instruction entered
+    /// per-instruction (the fallback) takes its interlock from whatever ran
+    /// before it instead.
+    ilk: u32,
     fetch_slots: u32,
     alu_word: u32,
     alu_slice: u32,
@@ -243,6 +256,7 @@ impl SActs {
 
     fn add(&mut self, o: &SActs) {
         self.cyc += o.cyc;
+        self.ilk += o.ilk;
         self.fetch_slots += o.fetch_slots;
         self.alu_word += o.alu_word;
         self.alu_slice += o.alu_slice;
@@ -267,7 +281,7 @@ impl SActs {
     }
 
     fn apply(&self, k: u64, act: &mut Activity, counts: &mut Counts) {
-        act.cycles += u64::from(self.cyc) * k;
+        act.cycles += u64::from(self.cyc + self.ilk) * k;
         act.fetch_slots += u64::from(self.fetch_slots) * k;
         act.alu_word_ops += u64::from(self.alu_word) * k;
         act.alu_slice_ops += u64::from(self.alu_slice) * k;
@@ -291,8 +305,23 @@ impl SActs {
         counts.spill_stores += u64::from(self.spill_stores) * k;
     }
 
-    /// The unconditional counter footprint of `inst` — the mirror of
-    /// `exec_fast`, split into its deterministic part.
+    /// Adds `k` executions' worth of the DTS-relevant part to a class.
+    fn apply_class(&self, k: u64, acc: &mut ClassAcc) {
+        acc.cyc += u64::from(self.cyc + self.ilk) * k;
+        acc.rf_read_units += u64::from(self.rf_r) * k;
+        acc.rf_write_units += u64::from(self.rf_w) * k;
+        acc.alu_word_ops += u64::from(self.alu_word) * k;
+        acc.extend_ops += u64::from(self.extend) * k;
+        acc.alu_slice_ops += u64::from(self.alu_slice) * k;
+        acc.spec_monitored_ops += u64::from(self.spec_mon) * k;
+        acc.speccheck_ops += u64::from(self.speccheck) * k;
+        acc.mul_ops += u64::from(self.mul) * k;
+        acc.umull_ops += u64::from(self.umull) * k;
+        acc.div_ops += u64::from(self.div) * k;
+    }
+
+    /// The unconditional counter footprint of `inst` — the reference
+    /// engine's `exec`, split into its deterministic part.
     #[allow(clippy::too_many_lines)]
     fn of(inst: &MInst, slots: u8) -> SActs {
         let mut s = SActs {
@@ -499,6 +528,71 @@ impl SActs {
     }
 }
 
+/// `Simulator::dyn_writes` slots: destination writes that happen only when
+/// the value allows (a true `MovCc` condition, a speculative op that did not
+/// misspeculate). One slot per handler kind, and every kind belongs to a
+/// single DTS class.
+const DW_MOVCC: usize = 0;
+const DW_SALU: usize = 1;
+const DW_SLOAD: usize = 2;
+const DW_STRUNC: usize = 3;
+/// [`DtsTables::ev_class`] slots past the `DW_*` ones: D-cache stall
+/// cycles and taken-`Bc` cycles.
+const EV_DATA: usize = 4;
+const EV_BC: usize = 5;
+const N_EV: usize = 6;
+
+/// The dynamic counters `inst` can feed (see [`DW_MOVCC`] and [`EV_DATA`]).
+fn dyn_events(inst: &MInst) -> &'static [usize] {
+    match inst {
+        MInst::MovCc { .. } => &[DW_MOVCC],
+        MInst::SAlu { .. } => &[DW_SALU],
+        MInst::STrunc { .. } => &[DW_STRUNC],
+        MInst::SLoadSpec { .. } | MInst::SLoadIdx { .. } => &[DW_SLOAD, EV_DATA],
+        MInst::Load { .. }
+        | MInst::Store { .. }
+        | MInst::LoadIdx { .. }
+        | MInst::SLoad { .. }
+        | MInst::SStore { .. }
+        | MInst::Push { .. }
+        | MInst::Pop { .. } => &[EV_DATA],
+        MInst::Bc { .. } => &[EV_BC],
+        _ => &[],
+    }
+}
+
+/// Static DTS tables, built only for images that serve `dts` runs. The
+/// class of an instruction depends only on the instruction
+/// ([`crate::dts::path_utilization`]), so every cycle and activity unit can
+/// be charged to a class known at predecode time.
+pub(crate) struct DtsTables {
+    /// pc → class, numbered as [`DtsModel::precompute`] does.
+    classes: Vec<u8>,
+    /// Class → core-energy scale.
+    scales: Vec<f64>,
+    /// Class of each end-of-run dynamic counter (`DW_*`, `EV_*`).
+    ev_class: [u8; N_EV],
+}
+
+impl DtsTables {
+    fn new(p: &Program) -> DtsTables {
+        let (classes, scales) = DtsModel::default().precompute(&p.insts);
+        let mut ev_class = [None; N_EV];
+        for (inst, &c) in p.insts.iter().zip(&classes) {
+            for &e in dyn_events(inst) {
+                let first = *ev_class[e].get_or_insert(c);
+                debug_assert_eq!(first, c, "dynamic event {e} spans DTS classes");
+            }
+        }
+        DtsTables {
+            classes,
+            scales,
+            // An event no instruction can raise keeps a zero count.
+            ev_class: ev_class.map(|c| c.unwrap_or(0)),
+        }
+    }
+}
+
 /// Block terminator, executed inline by the run loop (never via handler).
 ///
 /// Successor fields are *block indices*, resolved at predecode time so the
@@ -527,7 +621,7 @@ pub(crate) enum Term {
     Ret,
     /// Pseudo-block for an out-of-range successor pc (held in `start`):
     /// resyncs through the per-instruction fallback, which faults exactly
-    /// like the fast engine.
+    /// like the reference engine.
     Oob,
     Halt,
 }
@@ -570,7 +664,8 @@ pub(crate) struct TBlock {
 #[derive(Debug, Clone, Copy)]
 struct RealEv {
     /// Instruction index relative to the block start. The fetch fires
-    /// before that instruction's handler (fetch precedes execute).
+    /// before that instruction's handler (fetch precedes execute), and
+    /// its stall belongs to that instruction.
     k: u32,
     /// Same position in *dispatch-slot* units (see [`TurboImage::plan`]).
     /// Filled by the pairing pass; a fused pair never straddles an event.
@@ -596,6 +691,9 @@ pub(crate) struct TurboImage {
     /// within its block. Misspeculation redirects and fault pcs need
     /// instruction granularity back out of the fused plan.
     plan_off: Vec<u32>,
+    /// pc → unfused (handler, packed operands), for per-instruction
+    /// execution ([`Simulator::run_fallback`]).
+    code: Vec<(Handler, TOp)>,
     sacts: Vec<SActs>,
     blocks: Vec<TBlock>,
     /// Per-block sum of the span's static activity (parallel to `blocks`,
@@ -612,6 +710,8 @@ pub(crate) struct TurboImage {
     /// executed prefix's remaining touches.
     cumtouch: Vec<u32>,
     line_shift: u32,
+    /// Present when built for DTS runs.
+    dts: Option<DtsTables>,
 }
 
 impl TurboImage {
@@ -619,9 +719,9 @@ impl TurboImage {
     /// block structure from leaders (entry, function entries, branch
     /// targets, fall-throughs after control flow, `Halt`), per-block
     /// static activity with intra-block interlock stalls folded in, and
-    /// static fetch-line classification.
+    /// static fetch-line classification. `dts` adds the [`DtsTables`].
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn build(p: &Program) -> TurboImage {
+    pub(crate) fn build(p: &Program, dts: bool) -> TurboImage {
         let len = p.insts.len();
         assert_eq!(p.pre.len(), len, "stale predecode table");
         let line = Hierarchy::default().l1i.line();
@@ -709,10 +809,10 @@ impl TurboImage {
             let mut tot = SActs::default();
             for k in 0..n as usize {
                 // Intra-block interlock: a word load feeding the very next
-                // instruction's read set stalls one cycle — fold it into
-                // the consumer's static cycles.
+                // instruction's read set stalls one cycle — charge it to
+                // the consumer's static activity.
                 if k > 0 && p.pre[start + k - 1].load_dest_mask & p.pre[start + k].read_mask != 0 {
-                    sacts[start + k].cyc += 1;
+                    sacts[start + k].ilk = 1;
                 }
                 tot.add(&sacts[start + k]);
             }
@@ -905,6 +1005,7 @@ impl TurboImage {
         TurboImage {
             plan,
             plan_off,
+            code,
             sacts,
             blocks,
             tots,
@@ -912,6 +1013,7 @@ impl TurboImage {
             revs,
             cumtouch,
             line_shift,
+            dts: dts.then(|| DtsTables::new(p)),
         }
     }
 
@@ -960,8 +1062,7 @@ fn h_mov(s: &mut Simulator<'_>, o: &TOp) -> HR {
 
 fn h_mov_cc(s: &mut Simulator<'_>, o: &TOp) -> HR {
     if eval_cond(cond_of(o.c), s.flags) {
-        s.act.rf_write_units += 4;
-        s.act.reg_accesses_32 += 1;
+        s.dyn_writes[DW_MOVCC] += 1;
         s.regs[(o.a & 15) as usize] = s.regs[(o.b & 15) as usize];
     }
     Step::Next
@@ -1073,8 +1174,7 @@ fn h_sload_idx_spec(s: &mut Simulator<'_>, o: &TOp) -> HR {
     if v > 0xFF {
         return Step::Misspec;
     }
-    s.act.rf_write_units += 1;
-    s.act.reg_accesses_8 += 1;
+    s.dyn_writes[DW_SLOAD] += 1;
     sl_set(&mut s.regs, o.a, v);
     Step::Next
 }
@@ -1235,8 +1335,7 @@ fn h_salu_spec_ss<const OP: usize>(s: &mut Simulator<'_>, o: &TOp) -> HR {
     if mis {
         return Step::Misspec;
     }
-    s.act.rf_write_units += 1;
-    s.act.reg_accesses_8 += 1;
+    s.dyn_writes[DW_SALU] += 1;
     sl_set(&mut s.regs, o.a, r);
     Step::Next
 }
@@ -1247,8 +1346,7 @@ fn h_salu_spec_si<const OP: usize>(s: &mut Simulator<'_>, o: &TOp) -> HR {
     if mis {
         return Step::Misspec;
     }
-    s.act.rf_write_units += 1;
-    s.act.reg_accesses_8 += 1;
+    s.dyn_writes[DW_SALU] += 1;
     sl_set(&mut s.regs, o.a, r);
     Step::Next
 }
@@ -1277,8 +1375,7 @@ fn h_sload_spec(s: &mut Simulator<'_>, o: &TOp) -> HR {
     if v > 0xFF {
         return Step::Misspec;
     }
-    s.act.rf_write_units += 1;
-    s.act.reg_accesses_8 += 1;
+    s.dyn_writes[DW_SLOAD] += 1;
     sl_set(&mut s.regs, o.a, v);
     Step::Next
 }
@@ -1328,8 +1425,7 @@ fn h_strunc_spec(s: &mut Simulator<'_>, o: &TOp) -> HR {
     if v > 0xFF {
         return Step::Misspec;
     }
-    s.act.rf_write_units += 1;
-    s.act.reg_accesses_8 += 1;
+    s.dyn_writes[DW_STRUNC] += 1;
     sl_set(&mut s.regs, o.a, v & 0xFF);
     Step::Next
 }
@@ -1363,20 +1459,19 @@ fn h_spec_check(s: &mut Simulator<'_>, o: &TOp) -> HR {
 // dynamic dispatch stream (measured via the TURBO_STATS pair histogram)
 // into single "superinstruction" slots, halving the indirect-call +
 // `Step`-match overhead on those pairs. Sub-ops are `#[inline(always)]`
-// helpers shared by the fused bodies; the ALU op becomes a runtime table
-// index (a 16-way jump inside the handler), which is still far cheaper
-// than a second indirect dispatch.
+// helpers shared by the fused bodies.
+//
+// The ALU op of every sub-op is a *const* generic, so each fused body
+// compiles to straight-line code like the single `h_alu_rr::<OP>`
+// handlers; looking the op up at run time would trade the saved dispatch
+// for a hard-to-predict 16-way jump per sub-op. Two-ALU pairs are fused
+// too, over the ten hot op codes only (`fused_op_op_picker!`); pairs with
+// a rare op (carry forms, multiplies, divides) stay unfused rather than
+// paying for 16×16 monomorphizations.
 //
 // Fault protocol: memory sub-ops park `SimError::MemFault` with the pair
 // *sub-index* (0 or 1) in the `pc` field; the dispatch loop rebases it
 // onto `start + plan_off[slot]` (see `Simulator::take_fault`).
-
-// The ALU op stays a *const* generic in fused bodies: the specialized
-// `h_alu_rr::<OP>` handlers compile to straight-line code, and an early
-// version of fusion that looked the op up at run time traded the saved
-// dispatch for a hard-to-predict 16-way jump per ALU sub-op — a net
-// regression. Pairs with two ALU ops are left unfused for the same
-// reason (16×16 monomorphizations are not worth their share of pairs).
 
 #[inline(always)]
 fn sub_alu_rr<const OP: usize>(s: &mut Simulator<'_>, rd: u8, rn: u8, rm: u8) {
@@ -2737,11 +2832,10 @@ fn fuse(i1: &MInst, i2: &MInst) -> Option<(Handler, TOp)> {
 // --- run loop ---------------------------------------------------------------
 
 impl<'p> Simulator<'p> {
-    /// Data access with the stall charged directly to `cycles`; the
-    /// `l1d_accesses` counter is static (lives in [`SActs`]), unlike
-    /// `data_fast`. Routes through the per-set MRU line map
-    /// ([`Simulator::dmap`]), which tracks one resident line per L1D set
-    /// instead of the fast engine's two-entry buffer.
+    /// Data access with the stall charged to `data_stall` (every caller is
+    /// a memory instruction, one DTS class); the `l1d_accesses` counter is
+    /// static (lives in [`SActs`]). Routes through the per-set MRU line map
+    /// ([`Simulator::dmap`]), which tracks one resident line per L1D set.
     #[inline]
     fn turbo_data(&mut self, addr: u32, write: bool) -> bool {
         if addr < 0x100 || addr >= self.p.mem_size {
@@ -2756,7 +2850,7 @@ impl<'p> Simulator<'p> {
             return true;
         }
         let (stall, slot) = self.hier.data_at(addr, write);
-        self.act.cycles += stall;
+        self.data_stall += stall;
         self.dmap[i] = (line, slot as u32);
         true
     }
@@ -2795,26 +2889,49 @@ impl<'p> Simulator<'p> {
     }
 
     /// A real (line-crossing) I-fetch; caller must have flushed pending
-    /// touches. Stall goes directly to `cycles`.
-    fn fetch_turbo_real(&mut self, addr: u32, line_shift: u32) {
+    /// touches. Returns the stall, which the caller charges.
+    fn fetch_turbo_real(&mut self, addr: u32, line_shift: u32) -> u64 {
         let l2_before = self.hier.l2.accesses();
         let dram_before = self.hier.dram_accesses;
         let (stall, slot) = self.hier.fetch_at(addr);
-        self.act.cycles += stall;
         self.act.l2_from_i += self.hier.l2.accesses() - l2_before;
         self.act.dram_from_i += self.hier.dram_accesses - dram_before;
         self.ibuf_line = addr >> line_shift;
         self.ibuf_slot = slot;
+        stall
     }
 
-    /// Per-instruction execution (an exact replica of the fast loop) from
-    /// `self.pc` until control reaches a block leader (returns `false`) or
-    /// `Halt` (returns `true`). Used for mid-block entry after
-    /// misspeculation redirects, `Ret` to a non-leader, and fuel-tight
-    /// blocks.
-    fn run_fallback(&mut self, img: &TurboImage, line_shift: u32) -> Result<bool, SimError> {
+    /// One unbatched I-fetch slot (the fallback path): a same-line fetch is
+    /// a guaranteed hit on the buffered slot, anything else a real fetch.
+    fn fetch_slot(&mut self, addr: u32, line_shift: u32) -> u64 {
+        if addr >> line_shift == self.ibuf_line {
+            self.hier.l1i.touch_read_hit(self.ibuf_slot);
+            return 0;
+        }
+        self.fetch_turbo_real(addr, line_shift)
+    }
+
+    /// Charges `cyc` dynamic cycles to `pc`'s DTS class.
+    #[cold]
+    fn dts_cycles(&mut self, t: &DtsTables, pc: usize, cyc: u64) {
+        self.dts_accs[t.classes[pc] as usize].cyc += cyc;
+    }
+
+    /// Per-instruction execution from `self.pc` until control reaches a
+    /// block leader (returns `false`) or `Halt` (returns `true`). Used for
+    /// mid-block entry after misspeculation redirects, `Ret` to a
+    /// non-leader, and fuel-tight blocks. Each step runs the instruction's
+    /// unfused handler and charges its [`SActs`] with the interlock taken
+    /// from the instruction that actually ran before it; branch
+    /// terminators (placeholder handlers) resolve in the match below.
+    fn run_fallback(
+        &mut self,
+        img: &TurboImage,
+        dts: Option<&DtsTables>,
+    ) -> Result<bool, SimError> {
         let p = self.p;
         let fuel = self.cfg.fuel;
+        let shift = img.line_shift;
         loop {
             if self.counts.dyn_insts >= fuel {
                 return Err(SimError::OutOfFuel);
@@ -2827,22 +2944,52 @@ impl<'p> Simulator<'p> {
             self.counts.dyn_insts += 1;
             let pre = p.pre[pc];
             let addr = p.addrs[pc];
-            let mut stall = self.fetch_fast(addr, line_shift);
+            let mut stall = self.fetch_slot(addr, shift);
             if pre.two_slot {
-                stall += self.fetch_fast(addr + 4, line_shift);
+                stall += self.fetch_slot(addr + 4, shift);
             }
-            self.act.fetch_slots += u64::from(pre.slots);
-            let mut cyc: u64 = 1 + stall;
-            if self.last_load_mask & pre.read_mask != 0 {
-                cyc += 1;
+            let mut sa = img.sacts[pc];
+            sa.ilk = u32::from(self.last_load_mask & pre.read_mask != 0);
+            sa.apply(1, &mut self.act, &mut self.counts);
+            self.act.cycles += stall;
+            if let Some(t) = dts {
+                let acc = &mut self.dts_accs[t.classes[pc] as usize];
+                sa.apply_class(1, acc);
+                acc.cyc += stall;
             }
-            let next_pc = self.exec_fast(pc, inst, &mut cyc)?;
             self.last_load_mask = pre.load_dest_mask;
-            self.act.cycles += cyc;
+            let (h, op) = img.code[pc];
+            let next_pc = match h(self, &op) {
+                Step::Next => match *inst {
+                    MInst::B { target } => target,
+                    MInst::Bc { cond, target } => {
+                        if eval_cond(cond, self.flags) {
+                            self.bc_taken += 1;
+                            target
+                        } else {
+                            pc + 1
+                        }
+                    }
+                    MInst::Bl { target } => {
+                        self.regs[LR.index()] = (pc + 1) as u32;
+                        target
+                    }
+                    MInst::Ret => self.regs[LR.index()] as usize,
+                    _ => pc + 1,
+                },
+                Step::Misspec => {
+                    self.act.cycles += 3;
+                    if let Some(t) = dts {
+                        self.dts_cycles(t, pc, 3);
+                    }
+                    self.misspec_target(pc)?
+                }
+                Step::Fault => return Err(self.take_fault(pc)),
+            };
             self.pc = next_pc;
             // Leader check only after executing ≥1 instruction, and only
-            // for in-bounds pcs — an out-of-bounds pc must fault at the
-            // `p.insts[pc]` access above, exactly like the fast engine.
+            // for in-bounds pcs — an out-of-bounds pc must fail at the
+            // `p.insts[pc]` access above, exactly like the reference engine.
             if next_pc < p.insts.len() && img.is_leader(next_pc) {
                 return Ok(false);
             }
@@ -2926,7 +3073,7 @@ impl<'p> Simulator<'p> {
 
     /// Entry point from [`Simulator::run`]: predecode, then execute.
     pub(crate) fn run_turbo(self) -> Result<SimResult, SimError> {
-        let img = TurboImage::build(self.p);
+        let img = TurboImage::build(self.p, self.cfg.dts);
         self.run_turbo_with(&img)
     }
 
@@ -2944,9 +3091,19 @@ impl<'p> Simulator<'p> {
             "image built for a different I$ line size"
         );
         let len = p.insts.len();
-        // Arm the per-set D-line map (fast/reference runs never pay the
+        // Arm the per-set D-line map (reference runs never pay the
         // allocation). Entries start invalid; `turbo_data` fills them.
         self.dmap = vec![(u32::MAX, 0); self.hier.l1d.sets()];
+        // DTS runs charge every dynamic cycle and activity unit to the
+        // class of the instruction that incurs it; the checks below are a
+        // predictable branch at the block-entry and redirect sites only.
+        let dts = if self.cfg.dts {
+            let t = img.dts.as_ref().expect("image built without DTS tables");
+            self.dts_accs = vec![ClassAcc::default(); t.scales.len()];
+            Some(t)
+        } else {
+            None
+        };
         let mut bexec = vec![0u64; img.blocks.len()];
         let mut pending: u64 = 0;
         'outer: loop {
@@ -2954,11 +3111,11 @@ impl<'p> Simulator<'p> {
             // redirects, and fallback returns land here. Anything that is
             // not an in-range block leader (mid-block skeleton targets,
             // out-of-range pcs) runs per-instruction until control reaches
-            // a leader — or faults, exactly like the fast engine.
+            // a leader — or faults, exactly like the reference engine.
             let pc = self.pc;
             if pc >= len || !img.is_leader(pc) {
                 self.flush_touches(&mut pending);
-                if self.run_fallback(img, shift)? {
+                if self.run_fallback(img, dts)? {
                     break 'outer;
                 }
                 continue 'outer;
@@ -2984,24 +3141,27 @@ impl<'p> Simulator<'p> {
                         }
                         _ => {
                             // `Oob`: fault via the fallback's `insts[pc]`
-                            // access, like the fast engine. Fuel-tight: run
+                            // access, like the reference engine. Fuel-tight: run
                             // per-instruction so OutOfFuel surfaces after
                             // the exact same instruction.
                             self.pc = blk.start;
                             self.flush_touches(&mut pending);
-                            if self.run_fallback(img, shift)? {
+                            if self.run_fallback(img, dts)? {
                                 break 'outer;
                             }
                             continue 'outer;
                         }
                     }
                 }
+                let start = blk.start;
                 // Block-entry interlock: a word load at the end of the
                 // previous block feeding our first instruction's read set.
                 if self.last_load_mask & blk.entry_read_mask != 0 {
                     self.act.cycles += 1;
+                    if let Some(t) = dts {
+                        self.dts_cycles(t, start, 1);
+                    }
                 }
-                let start = blk.start;
                 let ps = blk.ps as usize;
                 let pn = blk.pn as usize;
                 // Entry fetch: the only dynamically classified sub-slot —
@@ -3009,7 +3169,11 @@ impl<'p> Simulator<'p> {
                 let a0 = blk.a0;
                 if a0 >> shift != self.ibuf_line {
                     self.flush_touches(&mut pending);
-                    self.fetch_turbo_real(a0, shift);
+                    let stall = self.fetch_turbo_real(a0, shift);
+                    self.act.cycles += stall;
+                    if let Some(t) = dts {
+                        self.dts_cycles(t, start, stall);
+                    }
                 } else {
                     pending += 1;
                 }
@@ -3048,7 +3212,11 @@ impl<'p> Simulator<'p> {
                             }
                             pending += u64::from(ev.pend_before);
                             self.flush_touches(&mut pending);
-                            self.fetch_turbo_real(ev.addr, shift);
+                            let stall = self.fetch_turbo_real(ev.addr, shift);
+                            self.act.cycles += stall;
+                            if let Some(t) = dts {
+                                self.dts_cycles(t, start + ev.k as usize, stall);
+                            }
                             cum_consumed = ev.cum_before;
                         }
                     }
@@ -3075,12 +3243,18 @@ impl<'p> Simulator<'p> {
                     let off = img.plan_off[ps + k] as usize;
                     let ip = start + off;
                     pending += u64::from(img.cumtouch[ip] - cum_consumed);
-                    for sa in &img.sacts[start..=ip] {
+                    for (pc, sa) in (start..=ip).zip(&img.sacts[start..=ip]) {
                         sa.apply(1, &mut self.act, &mut self.counts);
+                        if let Some(t) = dts {
+                            sa.apply_class(1, &mut self.dts_accs[t.classes[pc] as usize]);
+                        }
                     }
                     self.counts.dyn_insts += off as u64 + 1;
                     self.last_load_mask = p.pre[ip].load_dest_mask;
                     self.act.cycles += 3;
+                    if let Some(t) = dts {
+                        self.dts_cycles(t, ip, 3);
+                    }
                     self.pc = self.misspec_target(ip)?;
                     continue 'outer;
                 }
@@ -3097,8 +3271,7 @@ impl<'p> Simulator<'p> {
                         // ~50/50, so a data-dependent host branch here costs
                         // a mispredict per block. cmov + arithmetic don't.
                         let t = eval_cond(cond, self.flags);
-                        self.counts.taken_branches += u64::from(t);
-                        self.act.cycles += 2 * u64::from(t);
+                        self.bc_taken += u64::from(t);
                         bi = if t { target } else { next } as usize;
                     }
                     Term::Bl { target, ret_pc } => {
@@ -3210,9 +3383,35 @@ impl<'p> Simulator<'p> {
                 tot.apply(k, &mut self.act, &mut self.counts);
             }
         }
+        let w = self.dyn_writes;
+        let slice_writes = w[DW_SALU] + w[DW_SLOAD] + w[DW_STRUNC];
+        self.act.rf_write_units += 4 * w[DW_MOVCC] + slice_writes;
+        self.act.reg_accesses_32 += w[DW_MOVCC];
+        self.act.reg_accesses_8 += slice_writes;
+        self.act.cycles += self.data_stall + 2 * self.bc_taken;
+        self.counts.taken_branches += self.bc_taken;
         self.act.l2_accesses = self.hier.l2.accesses();
         self.act.dram_accesses = self.hier.dram_accesses;
-        let energy = em.fold(&self.act);
+        let mut energy = em.fold(&self.act);
+        if let Some(t) = dts {
+            let accs = &mut self.dts_accs;
+            for (b, &k) in img.blocks.iter().zip(&bexec) {
+                if k > 0 {
+                    let span = b.start..b.start + b.n as usize;
+                    for (sa, &c) in img.sacts[span.clone()].iter().zip(&t.classes[span]) {
+                        sa.apply_class(k, &mut accs[c as usize]);
+                    }
+                }
+            }
+            let ev = |e: usize| t.ev_class[e] as usize;
+            accs[ev(DW_MOVCC)].rf_write_units += 4 * w[DW_MOVCC];
+            for e in [DW_SALU, DW_SLOAD, DW_STRUNC] {
+                accs[ev(e)].rf_write_units += w[e];
+            }
+            accs[ev(EV_DATA)].cyc += self.data_stall;
+            accs[ev(EV_BC)].cyc += 2 * self.bc_taken;
+            scale_by_class(&mut energy, accs, &t.scales, &em);
+        }
         Ok(SimResult {
             outputs: self.outputs,
             cycles: self.act.cycles,

@@ -79,12 +79,12 @@ fn memory_roundtrip() {
     }
 }
 
-/// The three simulator engines agree on small synthetic kernels, chosen to
-/// hit turbo's distinct execution shapes: pure straight-line blocks, tight
+/// Both simulator engines agree on small synthetic kernels, chosen to hit
+/// turbo's distinct execution shapes: pure straight-line blocks, tight
 /// taken-branch loops, calls/returns, and misspeculation redirects that
-/// enter skeleton code mid-block.
+/// enter skeleton code mid-block — with DTS off and on.
 #[test]
-fn three_engines_agree_on_synthetic_kernels() {
+fn engines_agree_on_synthetic_kernels() {
     use bitspec::{build, simulate_with, BuildConfig, Engine, SimConfig, Workload};
     let kernels: &[(&str, &str)] = &[
         (
@@ -117,19 +117,195 @@ fn three_engines_agree_on_synthetic_kernels() {
         }
         for cfg in [BuildConfig::baseline(), BuildConfig::bitspec()] {
             let c = build(&w, &cfg).expect("build");
-            let [refr, fast, turbo] = [Engine::Reference, Engine::Fast, Engine::Turbo].map(|e| {
-                let sc = SimConfig {
-                    engine: e,
-                    ..SimConfig::default()
-                };
-                simulate_with(&c, &w, &sc).expect("sim")
-            });
-            for (tag, r) in [("fast", &fast), ("turbo", &turbo)] {
-                assert_eq!(r.outputs, refr.outputs, "{name}/{tag}: outputs");
-                assert_eq!(r.cycles, refr.cycles, "{name}/{tag}: cycles");
-                assert_eq!(r.counts, refr.counts, "{name}/{tag}: counts");
-                assert_eq!(r.activity, refr.activity, "{name}/{tag}: activity");
+            for dts in [false, true] {
+                let [refr, turbo] = [Engine::Reference, Engine::Turbo].map(|engine| {
+                    let sc = SimConfig {
+                        dts,
+                        engine,
+                        ..SimConfig::default()
+                    };
+                    simulate_with(&c, &w, &sc).expect("sim")
+                });
+                assert_agree(&format!("{name}/dts={dts}"), &refr, &turbo);
             }
+        }
+    }
+}
+
+/// Integer state bit-identical, total energy within summation tolerance.
+fn assert_agree(tag: &str, refr: &sim::SimResult, turbo: &sim::SimResult) {
+    assert_eq!(turbo.outputs, refr.outputs, "{tag}: outputs");
+    assert_eq!(turbo.cycles, refr.cycles, "{tag}: cycles");
+    assert_eq!(turbo.counts, refr.counts, "{tag}: counts");
+    assert_eq!(turbo.activity, refr.activity, "{tag}: activity");
+    let (a, b) = (turbo.total_energy(), refr.total_energy());
+    assert!(
+        (a - b).abs() <= 1e-6 * a.abs().max(b.abs()),
+        "{tag}: energy {a} vs {b}"
+    );
+}
+
+/// A hand-linked program for the shapes compiled code rarely produces:
+/// a `Ret` into the middle of a block, and a loop whose speculative slice
+/// add misspeculates on every iteration past the second, redirecting into
+/// a mid-block skeleton instruction. Both enter turbo's per-instruction
+/// fallback, which must carry load-use interlocks, conditional writes and
+/// taken branches across the block/fallback boundary.
+fn redirect_kernel() -> backend::Program {
+    use isa::inst::SAluOp;
+    use isa::{AluOp, Cond, MInst as M, MemWidth, Operand, Reg, Slice, SliceOperand, LR};
+    let (r0, r1, r2, r3, r4, r5, r6) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4), Reg(5), Reg(6));
+    let add_imm = |rd: Reg, imm: u32| M::Alu {
+        op: AluOp::Add,
+        rd,
+        rn: rd,
+        src2: Operand::Imm(imm),
+    };
+    let mut insts = vec![
+        /* 0 */ M::MovImm { rd: r0, imm: 0 },
+        /* 1 */ M::MovImm { rd: r2, imm: 0x200 },
+        /* 2 */ M::MovImm { rd: r1, imm: 3 },
+        /* 3 */ M::MovImm { rd: LR, imm: 7 },
+        /* 4 */ M::Ret, // → 7, mid-block
+        /* 5 */ M::MovImm { rd: r4, imm: 1 },
+        /* 6 */
+        // Never runs: it gives 7 a static interlock the Ret entry must drop.
+        M::Load {
+            rd: r1,
+            rn: r2,
+            offset: 0,
+            width: MemWidth::W,
+            spill: false,
+        },
+        /* 7 */
+        M::Store {
+            rs: r1,
+            rn: r2,
+            offset: 0,
+            width: MemWidth::W,
+            spill: false,
+        },
+        /* 8 */
+        M::Load {
+            rd: r3,
+            rn: r2,
+            offset: 0,
+            width: MemWidth::W,
+            spill: false,
+        },
+        /* 9 */
+        M::Alu {
+            op: AluOp::Add,
+            rd: r0,
+            rn: r0,
+            src2: Operand::Reg(r3),
+        },
+        /* 10 */ M::SetDelta { bytes: 0 }, // patched below: 11 → 13
+        /* 11 */
+        M::SAlu {
+            op: SAluOp::Add,
+            bd: Slice::new(r5, 0),
+            bn: Slice::new(r5, 0),
+            src2: SliceOperand::Imm(100),
+            speculative: true,
+        },
+        /* 12 */ M::Cmp {
+            rn: r0,
+            src2: Operand::Imm(150),
+        },
+        /* 13 */ add_imm(r1, 1), // misspeculation target, mid-block
+        /* 14 */
+        M::MovCc {
+            rd: r6,
+            rm: r1,
+            cond: Cond::Lo,
+        },
+        /* 15 */ M::Cmp {
+            rn: r0,
+            src2: Operand::Imm(200),
+        },
+        /* 16 */ M::Bc {
+            cond: Cond::Lo,
+            target: 8,
+        },
+        /* 17 */ M::Out { rn: r0 },
+        /* 18 */ M::Out { rn: r6 },
+        /* 19 */ M::Halt,
+    ];
+    let addrs_of = |insts: &[M]| {
+        let mut a = 0x1000u32;
+        insts
+            .iter()
+            .map(|i| {
+                let here = a;
+                a += i.size(false);
+                here
+            })
+            .collect::<Vec<u32>>()
+    };
+    let addrs = addrs_of(&insts);
+    insts[10] = M::SetDelta {
+        bytes: addrs[13] - addrs[11],
+    };
+    let addrs = addrs_of(&insts);
+    backend::Program {
+        pre: insts
+            .iter()
+            .map(|i| backend::PreInst::of(i, false))
+            .collect(),
+        addr_index: addrs.iter().enumerate().map(|(i, &a)| (a, i)).collect(),
+        addrs,
+        entry: 0,
+        halt: 19,
+        func_entries: vec![0],
+        func_names: vec!["main".into()],
+        global_inits: Vec::new(),
+        mem_size: 1 << 16,
+        compact: false,
+        spec_targets: Vec::new(),
+        insts,
+    }
+}
+
+/// Seeded fuel sweep over [`redirect_kernel`] with DTS off and on: every
+/// budget that completes must match the reference bit for bit, and every
+/// budget that does not must stop with `OutOfFuel` in both engines — at the
+/// exact boundary the reference engine sets. The budget is checked before
+/// `Halt` as well, so a run of n instructions needs fuel n + 1.
+#[test]
+fn fallback_paths_and_fuel_agree_under_dts() {
+    use sim::{Engine, SimConfig, SimError};
+    let p = redirect_kernel();
+    let sim = |dts: bool, fuel: u64, engine: Engine| {
+        let cfg = SimConfig {
+            dts,
+            fuel,
+            engine,
+            ..SimConfig::default()
+        };
+        sim::run_program(&p, &cfg, &[])
+    };
+    for dts in [false, true] {
+        let refr = sim(dts, u64::MAX, Engine::Reference).expect("reference run");
+        assert!(refr.counts.misspecs > 10, "kernel must keep misspeculating");
+        let n = refr.counts.dyn_insts;
+        let mut rng = Rng(0xF0E1 + u64::from(dts));
+        let mut fuels = vec![n, n + 1, n - 1, 1, 0];
+        fuels.extend((0..24).map(|_| rng.range(1, n + 8)));
+        for fuel in fuels {
+            let tag = format!("dts={dts} fuel={fuel}");
+            match (
+                sim(dts, fuel, Engine::Reference),
+                sim(dts, fuel, Engine::Turbo),
+            ) {
+                (Ok(r), Ok(t)) => assert_agree(&tag, &r, &t),
+                (Err(r), Err(t)) => {
+                    assert_eq!(r, SimError::OutOfFuel, "{tag}");
+                    assert_eq!(t, r, "{tag}");
+                }
+                (r, t) => panic!("{tag}: reference {r:?} vs turbo {t:?}"),
+            }
+            assert_eq!(fuel > n, sim(dts, fuel, Engine::Turbo).is_ok(), "{tag}");
         }
     }
 }

@@ -13,6 +13,7 @@
 use bitspec::{build, stages, store, BuildConfig, Workload};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -263,26 +264,31 @@ fn racing_publishers_same_key_both_succeed() {
         .collect();
     // A reader hammers the same key while the writers race. Atomic
     // publish means every observation is either "absent" or the full
-    // payload — never a torn prefix.
+    // payload — never a torn prefix. The reader runs until the writers
+    // have joined; the read that follows must see the full entry.
+    let writers_joined = Arc::new(AtomicBool::new(false));
     let reader = {
         let s = Arc::clone(&s);
         let p = payload.clone();
-        std::thread::spawn(move || {
-            let mut seen = 0u32;
-            for _ in 0..400 {
-                if let Some(got) = s.get("race", 42) {
-                    assert_eq!(got, p, "reader observed a partial artifact");
-                    seen += 1;
-                }
+        let writers_joined = Arc::clone(&writers_joined);
+        std::thread::spawn(move || loop {
+            // Sample the flag *before* the read: once it is set, this read
+            // happens after both writers finished publishing.
+            let last = writers_joined.load(Ordering::Acquire);
+            match s.get("race", 42) {
+                Some(got) => assert_eq!(got, p, "reader observed a partial artifact"),
+                None => assert!(!last, "entry absent after the writers joined"),
             }
-            seen
+            if last {
+                break;
+            }
         })
     };
     for w in writers {
         w.join().unwrap();
     }
-    let seen = reader.join().unwrap();
-    assert!(seen > 0, "reader never saw the published entry");
+    writers_joined.store(true, Ordering::Release);
+    reader.join().unwrap();
     assert_eq!(s.get("race", 42).as_deref(), Some(&payload[..]));
     // No tmp litter left behind.
     let tmp_left = fs::read_dir(scratch.path().join("tmp"))
