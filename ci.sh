@@ -30,6 +30,9 @@ cargo run --release -p bench --bin buildperf -- 2
 # precision, pool output ordering, and the fuzzer's seeded
 # serial/parallel/incremental agreement property.
 cargo test --release -q -p bitspec --test parallel_determinism --test fn_cache
+# In-flight dedupe tests run in release, where racing misses really overlap.
+cargo test --release -q -p bitspec --lib memo::
+cargo test --release -q -p bitspec --test stage_cache concurrent_
 cargo test --release -q -p bench --test pool_order
 cargo test --release -q -p fuzz --test parallel_incremental
 

@@ -19,7 +19,8 @@
 //!
 //! Usage: `buildperf [-j N] [reps]`.
 
-use bench::{clear_cache, pool, run, run_cached_traced, suite_configs, CellSource};
+use bench::{clear_cache, pool, run, run_cached_traced, suite_configs};
+use bitspec::memo::Source;
 use bitspec::{build, stages, BuildConfig, Workload};
 use interp::{Interpreter, Profile, RunResult};
 use mibench::{names, workload, Input};
@@ -177,7 +178,7 @@ fn main() {
         .enumerate()
     {
         let (cell, source) = run_cached_traced(w, cfg);
-        if source == CellSource::Disk {
+        if source == Source::Disk {
             disk_hits += 1;
         }
         assert_eq!(

@@ -30,18 +30,22 @@
 //! the caches: dump fidelity beats memoization in a debugging session,
 //! and dump-laden artifacts must not be published process-wide.
 //!
-//! Cached artifacts live behind `Arc` in process-wide maps; [`clear`]
-//! drops them and [`set_enabled`] bypasses the caches entirely (the
-//! `buildperf` harness uses both to measure cold vs warm builds).
+//! Every stage — and the function-level codegen artifacts, the gate's
+//! reference leg and the pre-backend verify verdicts — is one kind of the
+//! shared tiered cache ([`crate::memo`]): lookups go memory → disk →
+//! compute, and concurrent misses on one key compute once (the others
+//! wait for it and hit memory). Cached artifacts live behind `Arc`;
+//! [`clear`] drops them and [`set_enabled`] bypasses the caches entirely
+//! (the `buildperf` harness uses both to measure cold vs warm builds).
 
 use crate::fingerprint::{eat_inputs, Fnv};
+use crate::memo::{self, Memo};
 use crate::{BuildError, Workload};
 use interp::{Interpreter, Profile};
 use opt::ExpanderConfig;
 use sir::pass::{ir_fingerprint, IrStats, PassTrace, PrintAfter, TracePolicy, Tracer};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 /// Which stages of one build were served from the process-wide cache.
@@ -107,7 +111,8 @@ pub struct GateRef {
     pub traces: Vec<PassTrace>,
 }
 
-/// Cumulative process-wide cache counters (hits/misses per stage).
+/// Cumulative process-wide cache counters (hits/misses per stage), a
+/// view of the per-kind counters of the stage kinds in [`crate::memo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub front_hits: u64,
@@ -131,80 +136,56 @@ pub struct CacheStats {
     pub disk_misses: u64,
 }
 
-struct Caches {
-    enabled: AtomicBool,
-    front: Mutex<HashMap<u64, Arc<SirStage>>>,
-    expand: Mutex<HashMap<u64, Arc<SirStage>>>,
-    profile: Mutex<HashMap<u64, Arc<ProfileData>>>,
-    gate: Mutex<HashMap<u64, Arc<GateRef>>>,
-    fns: Mutex<HashMap<u64, Arc<backend::FnArtifact>>>,
-    /// Pre-backend verification verdicts: content fingerprints of modules
-    /// that already passed [`sir::verify::verify_module`], mapped to the
-    /// wall time of the run that proved them (replayed on hits).
-    verified: Mutex<HashMap<u64, u64>>,
-    front_hits: AtomicU64,
-    front_misses: AtomicU64,
-    expand_hits: AtomicU64,
-    expand_misses: AtomicU64,
-    profile_hits: AtomicU64,
-    profile_misses: AtomicU64,
-    gate_hits: AtomicU64,
-    gate_misses: AtomicU64,
-    fn_hits: AtomicU64,
-    fn_misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    codegen_workers: AtomicUsize,
-}
+static FRONT: LazyLock<Memo<SirStage>> = LazyLock::new(|| Memo::new("front"));
+static EXPAND: LazyLock<Memo<SirStage>> = LazyLock::new(|| {
+    Memo::new("expand").with_disk(crate::wire::encode_sir_stage, crate::wire::decode_sir_stage)
+});
+static PROFILE: LazyLock<Memo<ProfileData>> = LazyLock::new(|| {
+    Memo::new("profile").with_disk(
+        crate::wire::encode_profile_data,
+        crate::wire::decode_profile_data,
+    )
+});
+static GATE: LazyLock<Memo<GateRef>> = LazyLock::new(|| {
+    Memo::new("gate").with_disk(crate::wire::encode_gate_ref, crate::wire::decode_gate_ref)
+});
+/// Function artifacts that failed verification are never published.
+static FNMIR: LazyLock<Memo<backend::FnArtifact>> = LazyLock::new(|| {
+    Memo::new("fnmir")
+        .with_disk(
+            crate::wire::encode_fn_artifact,
+            crate::wire::decode_fn_artifact,
+        )
+        .publish_if(backend::FnArtifact::clean)
+});
+/// Pre-backend verification verdicts: content fingerprints of modules
+/// that passed [`sir::verify::verify_module`], mapped to the wall time of
+/// the run that proved them (replayed on hits).
+static VERIFY: LazyLock<Memo<u64>> = LazyLock::new(|| Memo::new("verify"));
 
-fn caches() -> &'static Caches {
-    static CACHES: OnceLock<Caches> = OnceLock::new();
-    CACHES.get_or_init(|| Caches {
-        enabled: AtomicBool::new(true),
-        front: Mutex::new(HashMap::new()),
-        expand: Mutex::new(HashMap::new()),
-        profile: Mutex::new(HashMap::new()),
-        gate: Mutex::new(HashMap::new()),
-        fns: Mutex::new(HashMap::new()),
-        verified: Mutex::new(HashMap::new()),
-        front_hits: AtomicU64::new(0),
-        front_misses: AtomicU64::new(0),
-        expand_hits: AtomicU64::new(0),
-        expand_misses: AtomicU64::new(0),
-        profile_hits: AtomicU64::new(0),
-        profile_misses: AtomicU64::new(0),
-        gate_hits: AtomicU64::new(0),
-        gate_misses: AtomicU64::new(0),
-        fn_hits: AtomicU64::new(0),
-        fn_misses: AtomicU64::new(0),
-        disk_hits: AtomicU64::new(0),
-        disk_misses: AtomicU64::new(0),
-        codegen_workers: AtomicUsize::new(1),
-    })
-}
+static CODEGEN_WORKERS: AtomicUsize = AtomicUsize::new(1);
 
-/// Enables or disables the stage caches process-wide (disabled = every
-/// stage recomputes; counters stop moving). Used by `buildperf` to time
-/// the uncached pipeline in the same process.
+/// Enables or disables the caches process-wide (disabled = every lookup
+/// recomputes; counters stop moving). Used by `buildperf` to time the
+/// uncached pipeline in the same process.
 pub fn set_enabled(enabled: bool) {
-    caches().enabled.store(enabled, Ordering::SeqCst);
+    memo::set_enabled(enabled);
 }
 
 /// Drops every cached stage artifact (counters are preserved).
 pub fn clear() {
-    let c = caches();
-    c.front.lock().expect("front cache").clear();
-    c.expand.lock().expect("expand cache").clear();
-    c.profile.lock().expect("profile cache").clear();
-    c.gate.lock().expect("gate cache").clear();
-    c.fns.lock().expect("fn cache").clear();
-    c.verified.lock().expect("verify cache").clear();
+    FRONT.clear();
+    EXPAND.clear();
+    PROFILE.clear();
+    GATE.clear();
+    FNMIR.clear();
+    VERIFY.clear();
 }
 
 /// Drops only the function-level codegen artifacts (the incremental
 /// benchmark uses this to isolate the backend share of a warm rebuild).
 pub fn clear_fns() {
-    caches().fns.lock().expect("fn cache").clear();
+    FNMIR.clear();
 }
 
 /// Pre-backend module verification, memoized by content fingerprint:
@@ -219,54 +200,64 @@ pub fn clear_fns() {
 /// # Errors
 /// Propagates the verifier's rejection.
 pub fn check_module(m: &sir::Module, tr: &mut Tracer) -> Result<(), sir::verify::VerifyError> {
-    let c = caches();
-    if !c.enabled.load(Ordering::SeqCst) {
-        return tr.run_check("verify", || sir::verify::verify_module(m));
+    let verdict = VERIFY.try_get(ir_fingerprint(m), false, || {
+        let t = Instant::now();
+        let r = sir::verify::verify_module(m);
+        let wall = t.elapsed().as_nanos() as u64;
+        r.map(|()| wall).map_err(|e| (e, wall))
+    });
+    match verdict {
+        Ok((wall, src)) if src.hit() => {
+            tr.replay(&[PassTrace::new("verify", *wall).verified(true)], true);
+            Ok(())
+        }
+        Ok((wall, _)) => {
+            tr.record(PassTrace::new("verify", *wall).verified(true));
+            Ok(())
+        }
+        Err((e, wall)) => {
+            tr.record(PassTrace::new("verify", wall).verified(false));
+            Err(e)
+        }
     }
-    let fp = ir_fingerprint(m);
-    if let Some(&wall) = c.verified.lock().expect("verify cache").get(&fp) {
-        tr.replay(&[PassTrace::new("verify", wall).verified(true)], true);
-        return Ok(());
-    }
-    let t = Instant::now();
-    let r = sir::verify::verify_module(m);
-    let wall = t.elapsed().as_nanos() as u64;
-    tr.record(PassTrace::new("verify", wall).verified(r.is_ok()));
-    if r.is_ok() {
-        c.verified.lock().expect("verify cache").insert(fp, wall);
-    }
-    r
 }
 
-/// Sets the worker count [`codegen`] fans uncached functions across
+/// Sets the worker count [`codegen`] fans functions across
 /// (process-wide; default 1 = serial). The parallel/serial split never
 /// changes outputs — results are merged in function order — only wall
 /// time, so this is a tuning knob, not a semantic one.
 pub fn set_codegen_workers(n: usize) {
-    caches().codegen_workers.store(n.max(1), Ordering::SeqCst);
+    CODEGEN_WORKERS.store(n.max(1), Ordering::SeqCst);
 }
 
 /// The current [`codegen`] worker count.
 pub fn codegen_workers() -> usize {
-    caches().codegen_workers.load(Ordering::SeqCst).max(1)
+    CODEGEN_WORKERS.load(Ordering::SeqCst).max(1)
 }
 
 /// Snapshot of the cumulative hit/miss counters.
 pub fn stats() -> CacheStats {
-    let c = caches();
+    let (front, expand, profile, gate, fns) = (
+        FRONT.stats(),
+        EXPAND.stats(),
+        PROFILE.stats(),
+        GATE.stats(),
+        FNMIR.stats(),
+    );
+    let disk = [expand, profile, gate, fns];
     CacheStats {
-        front_hits: c.front_hits.load(Ordering::SeqCst),
-        front_misses: c.front_misses.load(Ordering::SeqCst),
-        expand_hits: c.expand_hits.load(Ordering::SeqCst),
-        expand_misses: c.expand_misses.load(Ordering::SeqCst),
-        profile_hits: c.profile_hits.load(Ordering::SeqCst),
-        profile_misses: c.profile_misses.load(Ordering::SeqCst),
-        gate_hits: c.gate_hits.load(Ordering::SeqCst),
-        gate_misses: c.gate_misses.load(Ordering::SeqCst),
-        fn_hits: c.fn_hits.load(Ordering::SeqCst),
-        fn_misses: c.fn_misses.load(Ordering::SeqCst),
-        disk_hits: c.disk_hits.load(Ordering::SeqCst),
-        disk_misses: c.disk_misses.load(Ordering::SeqCst),
+        front_hits: front.hits,
+        front_misses: front.misses,
+        expand_hits: expand.hits,
+        expand_misses: expand.misses,
+        profile_hits: profile.hits,
+        profile_misses: profile.misses,
+        gate_hits: gate.hits,
+        gate_misses: gate.misses,
+        fn_hits: fns.hits,
+        fn_misses: fns.misses,
+        disk_hits: disk.iter().map(|k| k.disk_hits).sum(),
+        disk_misses: disk.iter().map(|k| k.disk_misses).sum(),
     }
 }
 
@@ -329,102 +320,30 @@ fn bypass(policy: &TracePolicy) -> bool {
     policy.print_after != PrintAfter::None
 }
 
-/// How a stage artifact round-trips through the persistent store: the
-/// entry kind (store subdirectory) plus the [`crate::wire`] codec pair.
-struct DiskCodec<T> {
-    kind: &'static str,
-    enc: fn(&T) -> Vec<u8>,
-    dec: fn(&[u8]) -> Result<T, crate::wire::WireError>,
-}
-
-/// Looks up `key` in `map` (when the caches are enabled and the caller
-/// does not bypass them), then — for stages with a `disk` codec and an
-/// active persistent store — on disk, else computes via `make` and
-/// publishes the result to both tiers. Lookup order is memory → disk →
-/// compute; a disk hit is adopted into the memory map so repeats within
-/// the process stay at memory speed. Concurrent misses on the same key
-/// compute independently; the first to publish wins and the rest adopt
-/// it. Bypass and disabled modes skip *both* tiers (print-after dumps
-/// must come from real runs and must not be published anywhere).
-fn memo<T, E>(
-    map: &Mutex<HashMap<u64, Arc<T>>>,
-    hits: &AtomicU64,
-    misses: &AtomicU64,
-    key: u64,
-    bypass: bool,
-    disk: Option<DiskCodec<T>>,
-    make: impl FnOnce() -> Result<T, E>,
-) -> Result<(Arc<T>, bool), E> {
-    if bypass || !caches().enabled.load(Ordering::SeqCst) {
-        return Ok((Arc::new(make()?), false));
-    }
-    if let Some(hit) = map.lock().expect("stage cache").get(&key) {
-        hits.fetch_add(1, Ordering::SeqCst);
-        return Ok((Arc::clone(hit), true));
-    }
-    let store = disk.as_ref().and_then(|_| crate::store::active());
-    if let (Some(dc), Some(store)) = (&disk, &store) {
-        if let Some(art) = crate::store::get_decoded(store, dc.kind, key, dc.dec) {
-            caches().disk_hits.fetch_add(1, Ordering::SeqCst);
-            hits.fetch_add(1, Ordering::SeqCst);
-            let shared = map
-                .lock()
-                .expect("stage cache")
-                .entry(key)
-                .or_insert_with(|| Arc::new(art))
-                .clone();
-            return Ok((shared, true));
-        }
-        caches().disk_misses.fetch_add(1, Ordering::SeqCst);
-    }
-    let made = Arc::new(make()?);
-    misses.fetch_add(1, Ordering::SeqCst);
-    let shared = map
-        .lock()
-        .expect("stage cache")
-        .entry(key)
-        .or_insert(made)
-        .clone();
-    if let (Some(dc), Some(store)) = (&disk, &store) {
-        store.put(dc.kind, key, &(dc.enc)(&shared));
-    }
-    Ok((shared, false))
-}
-
 /// Stage 1 worker: compiles the workload source to SIR and records the
 /// `front` pass entry (plus the verify-each check).
 fn front_art(w: &Workload, policy: &TracePolicy) -> Result<(Arc<SirStage>, bool), BuildError> {
-    let c = caches();
     let verify = policy.verify_each;
-    memo(
-        &c.front,
-        &c.front_hits,
-        &c.front_misses,
-        front_key(w, verify),
-        bypass(policy),
-        // The frontend is cheap enough that a disk round-trip wouldn't
-        // pay; it stays memory-only.
-        None,
-        || {
-            let t = Instant::now();
-            let module = lang::compile(&w.name, &w.source).map_err(BuildError::Compile)?;
-            let wall = t.elapsed().as_nanos() as u64;
-            let mut entry = PassTrace::new("front", wall)
-                .stats(IrStats::default(), IrStats::of_module(&module))
-                .fingerprinted(ir_fingerprint(&module));
-            if verify {
-                sir::verify::verify_module(&module).map_err(BuildError::Verify)?;
-                entry.verified = true;
-            }
-            if policy.print_after.matches("front") {
-                entry.dump = Some(sir::print::print_module(&module));
-            }
-            Ok(SirStage {
-                module: Arc::new(module),
-                traces: vec![entry],
-            })
-        },
-    )
+    let (art, src) = FRONT.try_get(front_key(w, verify), bypass(policy), || {
+        let t = Instant::now();
+        let module = lang::compile(&w.name, &w.source).map_err(BuildError::Compile)?;
+        let wall = t.elapsed().as_nanos() as u64;
+        let mut entry = PassTrace::new("front", wall)
+            .stats(IrStats::default(), IrStats::of_module(&module))
+            .fingerprinted(ir_fingerprint(&module));
+        if verify {
+            sir::verify::verify_module(&module).map_err(BuildError::Verify)?;
+            entry.verified = true;
+        }
+        if policy.print_after.matches("front") {
+            entry.dump = Some(sir::print::print_module(&module));
+        }
+        Ok(SirStage {
+            module: Arc::new(module),
+            traces: vec![entry],
+        })
+    })?;
+    Ok((art, src.hit()))
 }
 
 /// Stage 2 worker: expander + simplify + DCE as traced passes over the
@@ -435,48 +354,35 @@ fn expand_art(
     ecfg: &ExpanderConfig,
     policy: &TracePolicy,
 ) -> Result<(Arc<SirStage>, StageHits), BuildError> {
-    let c = caches();
     let key = expand_key(w, ecfg, policy.verify_each);
     let mut front_hit = true;
-    let (art, expand_hit) = memo(
-        &c.expand,
-        &c.expand_hits,
-        &c.expand_misses,
-        key,
-        bypass(policy),
-        Some(DiskCodec {
-            kind: "expand",
-            enc: crate::wire::encode_sir_stage,
-            dec: crate::wire::decode_sir_stage,
-        }),
-        || {
-            let (front, hit) = front_art(w, policy)?;
-            front_hit = hit;
-            let mut local = Tracer::new(policy.clone());
-            local.replay(&front.traces, hit);
-            let mut module = (*front.module).clone();
-            local
-                .run_sir(&mut module, &mut opt::ExpandPass(*ecfg))
-                .map_err(BuildError::Verify)?;
-            local
-                .run_sir(&mut module, &mut opt::SimplifyPass)
-                .map_err(BuildError::Verify)?;
-            local
-                .run_sir(&mut module, &mut opt::DcePass)
-                .map_err(BuildError::Verify)?;
-            Ok(SirStage {
-                module: Arc::new(module),
-                traces: local.finish(),
-            })
-        },
-    )?;
+    let (art, src) = EXPAND.try_get(key, bypass(policy), || {
+        let (front, hit) = front_art(w, policy)?;
+        front_hit = hit;
+        let mut local = Tracer::new(policy.clone());
+        local.replay(&front.traces, hit);
+        let mut module = (*front.module).clone();
+        local
+            .run_sir(&mut module, &mut opt::ExpandPass(*ecfg))
+            .map_err(BuildError::Verify)?;
+        local
+            .run_sir(&mut module, &mut opt::SimplifyPass)
+            .map_err(BuildError::Verify)?;
+        local
+            .run_sir(&mut module, &mut opt::DcePass)
+            .map_err(BuildError::Verify)?;
+        Ok(SirStage {
+            module: Arc::new(module),
+            traces: local.finish(),
+        })
+    })?;
     // An expand hit means the frontend wasn't consulted at all; report it
     // as a hit too (the work was saved either way).
     Ok((
         art,
         StageHits {
             front: front_hit,
-            expand: expand_hit,
+            expand: src.hit(),
             ..StageHits::default()
         },
     ))
@@ -525,36 +431,24 @@ pub fn profile(
     reference: bool,
     tr: &mut Tracer,
 ) -> Result<(Arc<sir::Module>, Arc<ProfileData>, StageHits), BuildError> {
-    let c = caches();
     let policy = tr.policy.clone();
     let key = profile_key(w, ecfg, policy.verify_each);
     let mut upstream: Option<(Arc<SirStage>, StageHits)> = None;
-    let (data, profile_hit) = memo(
-        &c.profile,
-        &c.profile_hits,
-        &c.profile_misses,
-        key,
-        bypass(&policy),
-        Some(DiskCodec {
-            kind: "profile",
-            enc: crate::wire::encode_profile_data,
-            dec: crate::wire::decode_profile_data,
-        }),
-        || {
-            let (art, hits) = expand_art(w, ecfg, &policy)?;
-            let t = Instant::now();
-            let (prof, dyn_insts) = profile_run(&art.module, w.train(), reference, w.profile_fuel)?;
-            let wall = t.elapsed().as_nanos() as u64;
-            let stats = IrStats::of_module(&art.module);
-            let entry = PassTrace::new("profile", wall).stats(stats, stats);
-            upstream = Some((art, hits));
-            Ok(ProfileData {
-                profile: Arc::new(prof),
-                dyn_insts,
-                traces: vec![entry],
-            })
-        },
-    )?;
+    let (data, src) = PROFILE.try_get(key, bypass(&policy), || {
+        let (art, hits) = expand_art(w, ecfg, &policy)?;
+        let t = Instant::now();
+        let (prof, dyn_insts) = profile_run(&art.module, w.train(), reference, w.profile_fuel)?;
+        let wall = t.elapsed().as_nanos() as u64;
+        let stats = IrStats::of_module(&art.module);
+        let entry = PassTrace::new("profile", wall).stats(stats, stats);
+        upstream = Some((art, hits));
+        Ok(ProfileData {
+            profile: Arc::new(prof),
+            dyn_insts,
+            traces: vec![entry],
+        })
+    })?;
+    let profile_hit = src.hit();
     let (art, mut hits) = match upstream {
         Some(up) => up,
         // Profile cache hit: the expanded module is still needed by the
@@ -584,21 +478,9 @@ pub fn gate_ref(
     opts: &backend::CodegenOpts,
     make: impl FnOnce() -> Result<GateRef, BuildError>,
 ) -> Result<(Arc<GateRef>, bool), BuildError> {
-    let c = caches();
     let key = gate_ref_key(w, ecfg, policy.verify_each, opts);
-    memo(
-        &c.gate,
-        &c.gate_hits,
-        &c.gate_misses,
-        key,
-        bypass(policy),
-        Some(DiskCodec {
-            kind: "gate",
-            enc: crate::wire::encode_gate_ref,
-            dec: crate::wire::decode_gate_ref,
-        }),
-        make,
-    )
+    let (art, src) = GATE.try_get(key, bypass(policy), make)?;
+    Ok((art, src.hit()))
 }
 
 /// Cache key of one function's codegen artifact: the function's
@@ -647,15 +529,13 @@ pub fn layout_fingerprint(m: &sir::Module, layout: &interp::Layout) -> u64 {
 /// composition of [`backend::compile_function`] (per function, memory →
 /// disk → compute) and the serial [`backend::link_traced`] layout pass.
 ///
-/// Per function, the artifact is looked up in the process-wide memory map,
-/// then (when a [`crate::store`] is active) on disk under the `fnmir`
-/// kind, and only the remaining misses are compiled — fanned across
-/// [`crate::pool`] workers per [`set_codegen_workers`]. Results are merged
-/// *in function order* regardless of which tier or worker produced them,
-/// and the link pass is serial, so the linked program is bit-identical for
-/// every worker count and cache state. Artifacts that failed verification
-/// are still merged (the build must report every diagnostic) but never
-/// published to either tier.
+/// Each function is looked up in the `fnmir` cache kind, the lookups
+/// fanned across [`crate::pool`] workers per [`set_codegen_workers`], so
+/// only misses compile. Results are merged *in function order* regardless
+/// of which tier or worker produced them, and the link pass is serial, so
+/// the linked program is bit-identical for every worker count and cache
+/// state. Artifacts that failed verification are still merged (the build
+/// must report every diagnostic) but never published to either tier.
 ///
 /// Print-after builds bypass the cache and compile serially through
 /// [`backend::compile_module_traced`] (dump fidelity beats memoization,
@@ -672,88 +552,23 @@ pub fn codegen(
     opts: &backend::CodegenOpts,
     tr: &mut Tracer,
 ) -> Result<(backend::Program, FnHits), sir::verify::VerifyError> {
-    let c = caches();
     let policy = tr.policy.clone();
-    if bypass(&policy) || !c.enabled.load(Ordering::SeqCst) {
+    if bypass(&policy) || !memo::enabled() {
         let program = backend::compile_module_traced(m, opts, tr)?;
         return Ok((program, FnHits::default()));
     }
     let layout = interp::Layout::new(m);
-    let verify = policy.verify_each;
     let lfp = layout_fingerprint(m, &layout);
     let fids: Vec<sir::FuncId> = m.func_ids().collect();
-    let keys: Vec<u64> = fids
-        .iter()
-        .map(|&fid| fn_key(m.func(fid), lfp, opts, verify))
-        .collect();
-    let mut arts: Vec<Option<Arc<backend::FnArtifact>>> = vec![None; fids.len()];
-    {
-        let map = c.fns.lock().expect("fn cache");
-        for (slot, key) in arts.iter_mut().zip(&keys) {
-            *slot = map.get(key).cloned();
-        }
-    }
-    let store = crate::store::active();
-    if let Some(store) = &store {
-        for (i, slot) in arts.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            if let Some(art) =
-                crate::store::get_decoded(store, "fnmir", keys[i], crate::wire::decode_fn_artifact)
-            {
-                c.disk_hits.fetch_add(1, Ordering::SeqCst);
-                let shared = c
-                    .fns
-                    .lock()
-                    .expect("fn cache")
-                    .entry(keys[i])
-                    .or_insert_with(|| Arc::new(art))
-                    .clone();
-                *slot = Some(shared);
-            } else {
-                c.disk_misses.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-    let hits = arts.iter().filter(|a| a.is_some()).count() as u32;
-    c.fn_hits.fetch_add(u64::from(hits), Ordering::SeqCst);
-    let missing: Vec<usize> = (0..arts.len()).filter(|&i| arts[i].is_none()).collect();
-    c.fn_misses
-        .fetch_add(missing.len() as u64, Ordering::SeqCst);
-    if !missing.is_empty() {
-        let workers = codegen_workers().min(missing.len());
-        let computed = crate::pool::run_ordered(missing.len(), workers, |j| {
-            backend::compile_function(m, fids[missing[j]], &layout, opts, &policy)
-        });
-        for (j, art) in computed.into_iter().enumerate() {
-            let i = missing[j];
-            let art = Arc::new(art);
-            // Publish only artifacts that passed verification (a rejected
-            // compile must be reproduced, and re-reported, by every build
-            // that reaches it).
-            if art.clean() {
-                let shared = c
-                    .fns
-                    .lock()
-                    .expect("fn cache")
-                    .entry(keys[i])
-                    .or_insert_with(|| Arc::clone(&art))
-                    .clone();
-                if let Some(store) = &store {
-                    store.put("fnmir", keys[i], &crate::wire::encode_fn_artifact(&shared));
-                }
-                arts[i] = Some(shared);
-            } else {
-                arts[i] = Some(art);
-            }
-        }
-    }
-    let arts: Vec<Arc<backend::FnArtifact>> = arts
-        .into_iter()
-        .map(|a| a.expect("every function resolved"))
-        .collect();
-    let all_cached = missing.is_empty() && !fids.is_empty();
+    let found = crate::pool::run_ordered(fids.len(), codegen_workers(), |i| {
+        let key = fn_key(m.func(fids[i]), lfp, opts, policy.verify_each);
+        FNMIR.get(key, || {
+            backend::compile_function(m, fids[i], &layout, opts, &policy)
+        })
+    });
+    let hits = found.iter().filter(|(_, src)| src.hit()).count() as u32;
+    let all_cached = hits as usize == fids.len() && !fids.is_empty();
+    let arts: Vec<Arc<backend::FnArtifact>> = found.into_iter().map(|(art, _)| art).collect();
     let program = backend::link_traced(m, &arts, opts, &layout, tr, all_cached)?;
     Ok((
         program,

@@ -1,9 +1,10 @@
 //! Persistent content-addressed artifact store (ROADMAP item 1).
 //!
-//! The in-memory stage cache ([`crate::stages`]) dies with the process;
-//! this store persists artifacts on disk so re-sweeps in a *new* process
+//! The memory tier of the shared cache ([`crate::memo`]) dies with the
+//! process; this store is its disk tier, so re-sweeps in a *new* process
 //! serve disk hits instead of recomputing. Lookup order everywhere is
-//! memory → disk → compute.
+//! memory → disk → compute, and concurrent misses on one key within a
+//! process compute and publish it once.
 //!
 //! **Keys.** Entries are addressed by the existing chained FNV-1a stage
 //! fingerprints ([`crate::fingerprint`]), further mixed with a store
@@ -415,7 +416,7 @@ pub fn active() -> Option<Arc<Store>> {
 
 /// Typed read-through: fetch `(kind, key)` from the active store and
 /// decode it; a decode failure (codec drift within one schema version)
-/// counts as corruption and deletes the entry.
+/// counts as corruption, not as a hit, and deletes the entry.
 pub(crate) fn get_decoded<T>(
     store: &Store,
     kind: &str,

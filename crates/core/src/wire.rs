@@ -174,8 +174,8 @@ impl<'a> Dec<'a> {
     }
 
     pub fn bytes(&mut self) -> Res<Vec<u8>> {
-        let n = self.vu()? as usize;
-        if self.pos + n > self.buf.len() {
+        let n = self.vusize()?;
+        if n > self.remaining() {
             return Err(bad("eof in bytes"));
         }
         let v = self.buf[self.pos..self.pos + n].to_vec();
@@ -189,6 +189,10 @@ impl<'a> Dec<'a> {
 
     fn vu32(&mut self) -> Res<u32> {
         u32::try_from(self.vu()?).map_err(|_| bad("u32 overflow"))
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn vusize(&mut self) -> Res<usize> {
@@ -208,9 +212,10 @@ impl<'a> Dec<'a> {
 
 fn dec_vec<T>(d: &mut Dec, mut f: impl FnMut(&mut Dec) -> Res<T>) -> Res<Vec<T>> {
     let n = d.vusize()?;
-    // Sanity bound: no artifact holds more elements than payload bytes.
-    if n > d.buf.len() {
-        return Err(bad("vec length exceeds payload"));
+    // Every element takes at least one byte, so a length beyond the bytes
+    // still unread is corrupt (and must not size the allocation).
+    if n > d.remaining() {
+        return Err(bad("vec length exceeds remaining payload"));
     }
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {

@@ -30,9 +30,10 @@
 //! `verify=0|1`, `dts=0|1`, `compare_elim=0|1`, `bitmask=0|1`,
 //! `unroll=N`.
 
-use bench::{run_cached_traced, suite_configs, CellSource};
+use bench::{run_cached_traced, suite_configs};
 use bitspec::fingerprint::cell_key;
 use bitspec::fingerprint::Fnv;
+use bitspec::memo::Source;
 use bitspec::{pool, Arch, BitwidthHeuristic, BuildConfig, Workload};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -302,7 +303,7 @@ pub fn serve_batch(
         served_by[*ui].push(ri);
     }
 
-    let emit_line = |ri: usize, cell: &bench::Cell, source: CellSource| {
+    let emit_line = |ri: usize, cell: &bench::Cell, source: Source| {
         let r = &reqs[ri];
         let (key, _, dedup) = req_cell[ri];
         let (c, sim) = (&cell.0, &cell.1);
@@ -334,7 +335,7 @@ pub fn serve_batch(
     };
 
     let emit_mutex = Mutex::new(());
-    let results: Vec<(bench::Cell, CellSource)> = pool::run_ordered(uniques.len(), jobs, |ui| {
+    let results: Vec<(bench::Cell, Source)> = pool::run_ordered(uniques.len(), jobs, |ui| {
         let r = uniques[ui];
         let (cell, source) = run_cached_traced(&r.workload, &r.cfg);
         if !ordered {
@@ -377,9 +378,9 @@ pub fn serve_batch(
     };
     for (_, source) in &results {
         match source {
-            CellSource::Memory => stats.memory_hits += 1,
-            CellSource::Disk => stats.disk_hits += 1,
-            CellSource::Computed => stats.computed += 1,
+            Source::Memory => stats.memory_hits += 1,
+            Source::Disk => stats.disk_hits += 1,
+            Source::Computed => stats.computed += 1,
         }
     }
     stats

@@ -8,7 +8,8 @@
 //! use tag-unique sources. The child-process tests are independent of
 //! this process's globals but still serialize to keep wall-clock sane.
 
-use bench::{clear_cache, run_cached_traced, CellSource};
+use bench::{clear_cache, run_cached_traced};
+use bitspec::memo::Source;
 use bitspec::{stages, store, BuildConfig, Workload};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -75,14 +76,14 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
     let cfg = BuildConfig::bitspec();
 
     let (cold, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Computed);
+    assert_eq!(src, Source::Computed);
     let (mem, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Memory);
+    assert_eq!(src, Source::Memory);
     assert!(std::sync::Arc::ptr_eq(&cold, &mem), "memory tier shares");
 
     wipe_memory();
     let (disk, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Disk, "fresh memory must fall to disk");
+    assert_eq!(src, Source::Disk, "fresh memory must fall to disk");
     assert_eq!(disk.1.outputs, cold.1.outputs);
     assert_eq!(disk.1.cycles, cold.1.cycles);
     assert_eq!(
@@ -91,7 +92,7 @@ fn cell_cache_walks_memory_then_disk_then_compute() {
     );
     // And the disk hit re-seeded memory.
     let (_, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Memory);
+    assert_eq!(src, Source::Memory);
 }
 
 #[test]
@@ -119,14 +120,50 @@ fn corrupt_cell_entry_falls_back_to_compute_and_rewrites() {
     wipe_memory();
     let before = store::stats();
     let (again, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Computed, "corrupt entry must not serve");
+    assert_eq!(src, Source::Computed, "corrupt entry must not serve");
     assert!(store::stats().corrupt > before.corrupt);
     assert_eq!(again.1.outputs, cold.1.outputs);
 
     // The recompute republished a clean entry.
     wipe_memory();
     let (_, src) = run_cached_traced(&w, &cfg);
-    assert_eq!(src, CellSource::Disk, "fallback must rewrite the entry");
+    assert_eq!(src, Source::Disk, "fallback must rewrite the entry");
+}
+
+#[test]
+fn undecodable_cell_entry_counts_corrupt_not_hit() {
+    let _g = serial();
+    let scratch = Scratch::new("undecodable");
+    store::configure(Some(scratch.path()), None);
+    wipe_memory();
+    let w = unique_workload("undecodable");
+    let cfg = BuildConfig::bitspec();
+    let key = bitspec::fingerprint::cell_key(&w, &cfg);
+    let s = store::active().expect("scratch store is active");
+    // A well-framed entry (the checksum passes) whose payload is no cell.
+    s.put("cell", key, b"not a cell");
+
+    let before = store::stats();
+    let (cell, src) = run_cached_traced(&w, &cfg);
+    let after = store::stats();
+    assert_eq!(src, Source::Computed, "an undecodable cell must not serve");
+    assert_eq!(
+        after.corrupt,
+        before.corrupt + 1,
+        "decode failure is corruption"
+    );
+    // The stage artifacts below the cell are new to this store, so every
+    // read of this build missed: a moved `hits` would be the cell read.
+    assert_eq!(after.hits, before.hits, "an undecodable read is no hit");
+    let bytes = s
+        .get("cell", key)
+        .expect("the computed cell was republished");
+    let (c, r) = bitspec::wire::decode_cell(&bytes).expect("rewritten entry decodes");
+    assert_eq!(r.outputs, cell.1.outputs);
+    assert_eq!(
+        backend::program_fingerprint(&c.program),
+        backend::program_fingerprint(&cell.0.program)
+    );
 }
 
 /// A small build+sim request batch over cheap MiBench workloads —

@@ -282,3 +282,31 @@ fn disabled_caches_recompute_and_stay_correct() {
     let warm = build(&w, &BuildConfig::bitspec()).unwrap();
     assert_eq!(c.profile, warm.profile);
 }
+
+#[test]
+fn concurrent_suite_cells_compute_shared_stages_once() {
+    let _g = serial();
+    stages::clear();
+    bench::clear_cache();
+    let w = unique_workload("inflight");
+    let reqs: Vec<serve::Request> = bench::suite_configs()
+        .into_iter()
+        .zip(serve::suite_labels())
+        .enumerate()
+        .map(|(id, (cfg, label))| serve::Request {
+            id,
+            op: serve::Op::Sim,
+            workload: w.clone(),
+            cfg,
+            label: label.to_string(),
+        })
+        .collect();
+    let before = stages::stats();
+    let served = serve::serve_batch(&reqs, 4, true, &|_| {});
+    let after = stages::stats();
+    assert_eq!(served.computed, reqs.len(), "every cell is new");
+    // Four workers miss the shared stages together; each computes once.
+    assert_eq!(after.front_misses - before.front_misses, 1);
+    assert_eq!(after.expand_misses - before.expand_misses, 1);
+    assert_eq!(after.profile_misses - before.profile_misses, 1);
+}

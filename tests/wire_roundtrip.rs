@@ -125,3 +125,20 @@ fn stage_payloads_roundtrip() {
     extended.push(0);
     assert!(wire::decode_profile_data(&extended).is_err());
 }
+
+#[test]
+fn vec_length_past_the_remaining_bytes_is_rejected() {
+    // A sim result opens with its output list: claim 9 outputs with only
+    // 8 one-byte elements left. The claim fits the whole payload (9 bytes)
+    // but not the bytes still unread, so the length check itself rejects
+    // it before any element is decoded or any space is reserved.
+    let mut bytes = vec![9u8];
+    bytes.extend_from_slice(&[1; 8]);
+    let err = wire::decode_sim_result(&bytes).expect_err("overlong vec must not decode");
+    assert!(err.0.contains("remaining"), "unexpected error: {err}");
+    // A SIR stage opens with the module name: claim u64::MAX bytes of it.
+    // The length must be checked without overflowing `pos + len`.
+    let mut huge = vec![0xff; 9];
+    huge.push(0x01);
+    assert!(wire::decode_sir_stage(&huge).is_err());
+}
