@@ -13,8 +13,15 @@ cargo test -q
 # (minimum 5 reps; also checks BENCH_sim.json generation end to end, and
 # --check fails the gate if turbo's median total is under 3x faster than
 # the reference engine's, with DTS off or on).
+# simperf and buildperf write their BENCH_*.json into the working
+# directory, so CI runs them from a scratch directory and leaves the
+# checked-in perf record alone; run them from the repository root to
+# regenerate it.
 cargo bench -p bench --bench experiments -- substrate_simulator
-cargo run --release -p bench --bin simperf -- --check 1
+cargo build --release -p bench --bin simperf --bin buildperf
+BIN_DIR=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
+PERF_DIR=$(mktemp -d)
+(cd "$PERF_DIR" && "$BIN_DIR/simperf" --check 1)
 
 # Compiler side: the profiler engine contract, then the staged-pipeline
 # target (2 reps → min-of-2 sweeps; also checks BENCH_build.json
@@ -23,7 +30,8 @@ cargo run --release -p bench --bin simperf -- --check 1
 # fingerprint divergence, and its incremental leg asserts a
 # one-function rebuild links bit-identically to the cold build).
 cargo test --release -q -p bitspec --test profiler_equivalence
-cargo run --release -p bench --bin buildperf -- 2
+(cd "$PERF_DIR" && "$BIN_DIR/buildperf" 2)
+rm -rf "$PERF_DIR"
 
 # Parallel & incremental build determinism: -j1 vs -j8 sweeps of the
 # suite (memory + disk store tiers), function-cache invalidation

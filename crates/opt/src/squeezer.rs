@@ -372,7 +372,7 @@ fn select_candidates(
     let max_narrow_live = f
         .block_ids()
         .map(|b| {
-            live.live_in[b.index()]
+            live.live_in_of(b)
                 .iter()
                 .filter(|v| narrow.contains(v))
                 .count()
@@ -628,10 +628,10 @@ fn worth_squeezing(
     let max_narrow_live: u64 = f
         .block_ids()
         .map(|b| {
-            live.live_in[b.index()]
+            live.live_in_of(b)
                 .iter()
                 .filter(|v| cand.narrow.contains(v))
-                .map(|v| words(*v))
+                .map(&words)
                 .sum()
         })
         .max()
@@ -816,12 +816,11 @@ fn squeeze_function(
         let h = f.add_block();
         // Extend each live-in of the original block. Values defined in the
         // shared setup block dominate everything and need no extension.
-        let mut live_in: Vec<ValueId> = live.live_in[ob.index()]
+        // Ascending value order keeps the handler body deterministic.
+        let live_in = live
+            .live_in_of(ob)
             .iter()
-            .copied()
-            .filter(|u| def_block.get(u).map(|b| *b != setup) == Some(true))
-            .collect();
-        live_in.sort();
+            .filter(|u| def_block.get(u).map(|b| *b != setup) == Some(true));
         for u in live_in {
             // Only proper narrow *candidates* have a slice definition at
             // their own def site; a spec-trunc in the narrow map lives at a

@@ -150,7 +150,7 @@ fn check_handler_leak(
     lv: &Liveness,
     diags: &mut Vec<Diag>,
 ) {
-    for &v in lv.live_in_of(handler) {
+    for v in lv.live_in_of(handler).iter() {
         if let Some(db) = defs.get(&v) {
             if members.contains(db) {
                 diags.push(diag(
@@ -335,6 +335,49 @@ mod tests {
         f.block_mut(h).insts.push(z);
         let diags = lint_function(&f);
         assert!(diags.iter().any(|d| d.rule == "LINT-EQ8-LEAK"), "{diags:?}");
+    }
+
+    #[test]
+    fn leak_diagnostics_name_values_in_ascending_order() {
+        let mut f = spec_fn();
+        let (r, h) = (BlockId(1), f.regions[0].handler);
+        let c = f.block(f.entry).insts[0];
+        // Mutation: twelve more region-defined values, re-widened by the
+        // handler in reverse definition order.
+        let leaked: Vec<_> = (0..12)
+            .map(|_| {
+                f.append_inst(
+                    r,
+                    Inst::Bin {
+                        op: BinOp::Add,
+                        width: Width::W8,
+                        lhs: c,
+                        rhs: c,
+                        speculative: true,
+                    },
+                )
+            })
+            .collect();
+        for &v in leaked.iter().rev() {
+            let z = f.add_inst(Inst::Zext {
+                to: Width::W32,
+                arg: v,
+            });
+            f.block_mut(h).insts.push(z);
+        }
+        let diags = lint_function(&f);
+        let leaks: Vec<String> = diags
+            .iter()
+            .filter(|d| d.rule == "LINT-EQ8-LEAK")
+            .map(|d| d.msg.clone())
+            .collect();
+        let expected: Vec<String> = leaked
+            .iter()
+            .map(|v| format!("sr0: {v} defined in region block {r} is live into handler {h}"))
+            .collect();
+        assert_eq!(leaks, expected);
+        let render = |ds: &[Diag]| ds.iter().map(|d| format!("{d}\n")).collect::<String>();
+        assert_eq!(render(&diags), render(&lint_function(&f)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A small reusable dataflow framework.
 //!
-//! Analyses in the pipeline (known-bits narrowing in `opt`, def-before-use
-//! checking over machine IR in `backend`, and the `bitlint` region checks)
-//! share the same shape: a monotone transfer function iterated over a CFG to
+//! Analyses in the pipeline (known-bits narrowing in `opt` and
+//! def-before-use checking over machine IR in `backend`) share the same
+//! shape: a monotone transfer function iterated over a CFG to
 //! a fixpoint, forward or backward, with an optional widening hook to force
 //! termination on growing lattices. This module factors that shape out so
 //! each analysis only supplies its lattice and transfer.

@@ -306,25 +306,41 @@ impl Inst {
         }
     }
 
-    /// Iterates over the value operands of this instruction.
+    /// The value operands of this instruction, in operand order.
     pub fn operands(&self) -> Vec<ValueId> {
+        let mut ops = Vec::new();
+        self.for_each_operand(|v| ops.push(v));
+        ops
+    }
+
+    /// Calls `f` on every value operand, in operand order, without
+    /// allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(ValueId)) {
         match self {
             Inst::Param { .. }
             | Inst::Const { .. }
             | Inst::GlobalAddr { .. }
-            | Inst::Alloca { .. } => vec![],
-            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Zext { arg, .. } | Inst::Sext { arg, .. } | Inst::Trunc { arg, .. } => {
-                vec![*arg]
+            | Inst::Alloca { .. } => {}
+            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
             }
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { addr, value, .. } => vec![*addr, *value],
+            Inst::Zext { arg, .. } | Inst::Sext { arg, .. } | Inst::Trunc { arg, .. } => f(*arg),
+            Inst::Load { addr, .. } => f(*addr),
+            Inst::Store { addr, value, .. } => {
+                f(*addr);
+                f(*value);
+            }
             Inst::Select {
                 cond, tval, fval, ..
-            } => vec![*cond, *tval, *fval],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::Phi { incomings, .. } => incomings.iter().map(|(_, v)| *v).collect(),
-            Inst::Output { value } => vec![*value],
+            } => {
+                f(*cond);
+                f(*tval);
+                f(*fval);
+            }
+            Inst::Call { args, .. } => args.iter().copied().for_each(f),
+            Inst::Phi { incomings, .. } => incomings.iter().for_each(|(_, v)| f(*v)),
+            Inst::Output { value } => f(*value),
         }
     }
 
